@@ -22,6 +22,7 @@ from .branch import (
     DEFAULT_ROOT_TOL,
     BranchPoint,
     BranchTable,
+    CharacteristicKernel,
     RadialProfile,
     anchor_eigenvalue,
     characteristic,
@@ -69,6 +70,7 @@ __all__ = [
     "BracketError",
     "BranchPoint",
     "BranchTable",
+    "CharacteristicKernel",
     "CrossKind",
     "DEFAULT_ROOT_TOL",
     "DensityParams",

@@ -22,9 +22,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import mpmath as mp
+import numpy as np
 from scipy import optimize as _opt
 from scipy import special as _sp
 
@@ -37,6 +38,7 @@ __all__ = [
     "BranchPoint",
     "BranchTable",
     "RadialProfile",
+    "CharacteristicKernel",
     "characteristic",
     "characteristic_1d",
     "truncated_characteristic",
@@ -96,59 +98,129 @@ class BranchTable:
 # the characteristic equation
 
 
-def _characteristic_terms(
-    cfg: ProblemConfig, epsilon: float, lam: float
-) -> tuple[float, float]:
-    """(F, scale): the characteristic value and its largest term magnitude.
+def _derivative(lower, value, nu, z):
+    """C_nu'(z) from C_{nu-1}(z) and C_nu(z), for C = J or Y (DLMF 10.6.2)."""
+    return lower - nu / z * value
 
-    The scale makes residuals meaningful: at a root the weighted summands
-    cancel each other, so |F|/scale is the natural convergence measure.
+
+class _Interface(NamedTuple):
+    """Wave arguments and Bessel values behind one evaluation of F.
+
+    J_nu and J_nu' at a, b and c = b/(1-eps); Y_nu and Y_nu' at b and c.
+    Fields are floats, ndarrays or mpfs, following the lambda they came from.
     """
-    if cfg.N < 2:
-        raise ValueError("use characteristic_1d for N = 1")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    nu = cfg.nu
-    a, b = wave_arguments(cfg, epsilon, lam)
-    c = b / (1.0 - epsilon)
-    ja, jpa = float(_sp.jv(nu, a)), float(_sp.jvp(nu, a))
-    jb, jpb = float(_sp.jv(nu, b)), float(_sp.jvp(nu, b))
-    yb, ypb = float(_sp.yv(nu, b)), float(_sp.yvp(nu, b))
-    jc, jpc = float(_sp.jv(nu, c)), float(_sp.jvp(nu, c))
-    yc, ypc = float(_sp.yv(nu, c)), float(_sp.yvp(nu, c))
-    w1 = 1.0 - cfg.N / 2.0
-    w2 = c
-    ratio = (a / b) * jpa
-    # P1: value cross-products at (b, b/(1-eps)); P2: derivative versions
-    p1_1 = ja * (ypb * jc - jpb * yc)
-    p1_2 = ratio * (jb * yc - yb * jc)
-    p2_1 = ja * (ypb * jpc - jpb * ypc)
-    p2_2 = ratio * (jb * ypc - yb * jpc)
-    value = w1 * (p1_1 + p1_2) + w2 * (p2_1 + p2_2)
-    # Each summand is a cross-product <(Y', -J')(b), (J, Y)(c)> whose
-    # attainable magnitude is the product of the factor moduli. Measuring
-    # residuals against the largest attainable summand keeps the measure
-    # stable when a factor sits at an accidental zero (near eps -> 1 the
-    # root locks b/(1-eps) onto a zero of J', where every summand value
-    # collapses while dF/dlambda stays finite, so a value-based scale
-    # would demand residuals below what float64 lambda can express).
-    mb = math.hypot(jb, yb)
-    mpb = math.hypot(jpb, ypb)
-    mc = math.hypot(jc, yc)
-    mpc = math.hypot(jpc, ypc)
-    scale = max(
-        abs(w1 * ja) * mpb * mc,
-        abs(w1 * ratio) * mb * mc,
-        abs(w2 * ja) * mpb * mpc,
-        abs(w2 * ratio) * mb * mpc,
-        1e-300,
-    )
-    return value, scale
+
+    a: Any
+    b: Any
+    c: Any
+    ja: Any
+    jpa: Any
+    jb: Any
+    jpb: Any
+    yb: Any
+    ypb: Any
+    jc: Any
+    jpc: Any
+    yc: Any
+    ypc: Any
+
+
+class CharacteristicKernel:
+    """F(lambda, eps) and its scale at one (cfg, eps), for N >= 2.
+
+    F = (1 - N/2) P1(a, b) + (b/(1-eps)) P2(a, b), see the module docstring.
+    Calling the kernel with lambda returns (F, scale), where scale is the
+    largest attainable magnitude of F's constituent terms. lambda may be
+
+    - a float: floats come back (Brent iteration, the ulp-walk polish);
+    - an ndarray: arrays come back, every F bitwise equal to the float
+      call's (bracket windows, root scans; the scale may differ in the
+      last bit, math.hypot and np.hypot round on their own);
+    - an mpf, when eps is an mpf too: mpfs at the working precision.
+
+    One call evaluates wave_arguments once, J at orders (nu-1, nu) on
+    (a, b, c) and Y at the same orders on (b, c): scipy's jv and yv (AMOS)
+    for float and ndarray lambda, one ufunc call each, or mpmath's besselj
+    and bessely. The derivatives follow from the order nu-1 values by
+    DLMF 10.6.2.
+    """
+
+    def __init__(self, cfg: ProblemConfig, epsilon) -> None:
+        if cfg.N < 2:
+            raise ValueError("use characteristic_1d for N = 1")
+        self.cfg = cfg
+        self.epsilon = epsilon
+        self._nu = cfg.nu
+        self._w1 = 1.0 - cfg.N / 2.0
+        self._mp = isinstance(epsilon, mp.mpf)
+        # orders (nu-1, nu) as a column, broadcast against the arguments
+        self._orders = np.array([[self._nu - 1.0], [self._nu]])
+
+    def interface(self, lam) -> _Interface:
+        """Wave arguments and Bessel values of one evaluation at lambda."""
+        a, b = wave_arguments(self.cfg, self.epsilon, lam)
+        c = b / (1.0 - self.epsilon)
+        nu = self._nu
+        if self._mp:
+            orders = (nu - 1.0, nu)
+            J = [[mp.besselj(o, z) for z in (a, b, c)] for o in orders]
+            Y = [[mp.bessely(o, z) for z in (b, c)] for o in orders]
+        elif isinstance(lam, np.ndarray):
+            orders = self._orders[..., None]
+            J = _sp.jv(orders, (a, b, c))
+            Y = _sp.yv(orders, (b, c))
+        else:
+            J = _sp.jv(self._orders, (a, b, c)).tolist()
+            Y = _sp.yv(self._orders, (b, c)).tolist()
+        (ja1, jb1, jc1), (ja, jb, jc) = J
+        (yb1, yc1), (yb, yc) = Y
+        return _Interface(
+            a, b, c,
+            ja, _derivative(ja1, ja, nu, a),
+            jb, _derivative(jb1, jb, nu, b),
+            yb, _derivative(yb1, yb, nu, b),
+            jc, _derivative(jc1, jc, nu, c),
+            yc, _derivative(yc1, yc, nu, c),
+        )
+
+    def evaluate(self, at: _Interface):
+        """(F, scale) from interface values; one arithmetic for every operand.
+
+        The scale makes residuals meaningful: at a root the weighted summands
+        cancel each other, so |F|/scale is the natural convergence measure.
+        """
+        if self._mp:
+            hypot, maximum = mp.hypot, max
+        elif isinstance(at.a, np.ndarray):
+            hypot, maximum = np.hypot, np.maximum
+        else:
+            hypot, maximum = math.hypot, max
+        w1 = self._w1
+        a, b, c, ja, jpa, jb, jpb, yb, ypb, jc, jpc, yc, ypc = at
+        ratio = (a / b) * jpa
+        # P1: value cross-products at (b, b/(1-eps)); P2: derivative versions
+        p1 = ja * (ypb * jc - jpb * yc) + ratio * (jb * yc - yb * jc)
+        p2 = ja * (ypb * jpc - jpb * ypc) + ratio * (jb * ypc - yb * jpc)
+        value = w1 * p1 + c * p2
+        # Each summand is a cross-product <(Y', -J')(b), (J, Y)(c)> whose
+        # attainable magnitude is the product of the factor moduli. Measuring
+        # residuals against the largest attainable summand keeps the measure
+        # stable when a factor sits at an accidental zero (near eps -> 1 the
+        # root locks b/(1-eps) onto a zero of J', where every summand value
+        # collapses while dF/dlambda stays finite, so a value-based scale
+        # would demand residuals below what float64 lambda can express). The
+        # four weight-times-modulus products factor into two maxima.
+        outer = maximum(abs(w1) * hypot(jc, yc), c * hypot(jpc, ypc))
+        inner = maximum(abs(ja) * hypot(jpb, ypb), abs(ratio) * hypot(jb, yb))
+        return value, maximum(outer * inner, 1e-300)
+
+    def __call__(self, lam):
+        return self.evaluate(self.interface(lam))
 
 
 def characteristic(cfg: ProblemConfig, epsilon: float, lam: float) -> float:
     """F(lambda, eps) whose zeros are the nonzero Neumann eigenvalues."""
-    return _characteristic_terms(cfg, epsilon, lam)[0]
+    return CharacteristicKernel(cfg, epsilon)(lam)[0]
 
 
 def _characteristic_1d_terms(
@@ -188,6 +260,26 @@ def characteristic_1d(M: float, epsilon: float, lam: float) -> float:
     return _characteristic_1d_terms(M, epsilon, lam)[0]
 
 
+def _truncated_coefficients(cfg: ProblemConfig, lam, num=float):
+    """(c0, c1) with the truncated form equal to c0 + c1 eps.
+
+    Evaluated in the arithmetic of num: float, or mp.mpf for the
+    extended-precision remainder (lam then an mpf too). Undefined when
+    nu = 0 (denominators vanish), which happens only for N = 2, l = 0.
+    """
+    if cfg.nu == 0:
+        raise ValueError("truncated form undefined at nu = 0 (N = 2, l = 0)")
+    N, M, l, nu, w = (num(x) for x in (cfg.N, cfg.M, cfg.l, cfg.nu, cfg.omega))
+    steklov = 2 * N * w * l / M
+    c0 = steklov - 2 * lam
+    c1 = (
+        lam * lam * (M / (3 * N * w) - 1 / (nu * (1 + nu)))
+        + lam * (N / 2 - nu + (2 - N) * N * w / (2 * nu * (1 + nu) * M))
+        - steklov * ((N - 1) / 2 - w / M - nu)
+    )
+    return c0, c1
+
+
 def truncated_characteristic(cfg: ProblemConfig, epsilon: float, lam: float) -> float:
     """The explicit part of the small-eps expansion of the rescaled F.
 
@@ -202,22 +294,10 @@ def truncated_characteristic(cfg: ProblemConfig, epsilon: float, lam: float) -> 
     """
     if cfg.N < 2:
         raise ValueError("truncated form implemented for N >= 2")
-    nu = cfg.nu
-    if nu == 0:
-        raise ValueError("truncated form undefined at nu = 0 (N = 2, l = 0)")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    w = cfg.omega
-    N, M, l = cfg.N, cfg.M, cfg.l
-    return (
-        lam * lam * epsilon * (M / (3.0 * N * w) - 1.0 / (nu * (1.0 + nu)))
-        + lam
-        * epsilon
-        * (N / 2.0 - nu + (2.0 - N) * N * w / (2.0 * nu * (1.0 + nu) * M))
-        - 2.0 * lam
-        + 2.0 * N * w * l / M
-        - (2.0 * N * w * l / M) * ((N - 1) / 2.0 - w / M - nu) * epsilon
-    )
+    c0, c1 = _truncated_coefficients(cfg, lam)
+    return c0 + c1 * epsilon
 
 
 def slope_from_truncated(cfg: ProblemConfig) -> float:
@@ -227,18 +307,8 @@ def slope_from_truncated(cfg: ProblemConfig) -> float:
     so the slope is (the eps-coefficient at lambda_l) / 2. Independent
     route from the closed slope formula; the two must agree to roundoff.
     """
-    nu = cfg.nu
-    if nu == 0:
-        raise ValueError("truncated form undefined at nu = 0 (N = 2, l = 0)")
-    w = cfg.omega
-    N, M, l = cfg.N, cfg.M, cfg.l
-    lam = N * w * l / M
-    eps_coeff = (
-        lam * lam * (M / (3.0 * N * w) - 1.0 / (nu * (1.0 + nu)))
-        + lam * (N / 2.0 - nu + (2.0 - N) * N * w / (2.0 * nu * (1.0 + nu) * M))
-        - (2.0 * N * w * l / M) * ((N - 1) / 2.0 - w / M - nu)
-    )
-    return eps_coeff / 2.0
+    lam = cfg.N * cfg.omega * cfg.l / cfg.M
+    return _truncated_coefficients(cfg, lam)[1] / 2.0
 
 
 def slope_at_zero_1d(M: float) -> float:
@@ -266,41 +336,18 @@ def remainder_scaling(
     for e in eps_grid:
         if not 0.0 < e < 0.2:
             raise ValueError(f"eps grid entries must lie in (0, 0.2), got {e}")
-    if cfg.nu == 0:
-        raise ValueError("truncated form undefined at nu = 0 (N = 2, l = 0)")
     out: list[tuple[float, float]] = []
     with mp.workdps(dps):
-        N = mp.mpf(cfg.N)
-        M = mp.mpf(cfg.M)
-        l = mp.mpf(cfg.l)
-        nu = mp.mpf(cfg.nu)
-        w = mp.pi ** (N / 2) / mp.gamma(N / 2 + 1)
         lam_mp = mp.mpf(lam)
+        c0, c1 = _truncated_coefficients(cfg, lam_mp, mp.mpf)
         for e in eps_grid:
             eps = mp.mpf(e)
-            core = (1 - eps) ** cfg.N
-            rho_ann = (M - eps * w * core) / (w * (1 - core))
-            a = mp.sqrt(lam_mp * eps) * (1 - eps)
-            b = mp.sqrt(lam_mp * rho_ann) * (1 - eps)
-            c = b / (1 - eps)
-            ja, jpa = mp.besselj(nu, a), mp.besselj(nu, a, 1)
-            jb, jpb = mp.besselj(nu, b), mp.besselj(nu, b, 1)
-            yb, ypb = mp.bessely(nu, b), mp.bessely(nu, b, 1)
-            jc, jpc = mp.besselj(nu, c), mp.besselj(nu, c, 1)
-            yc, ypc = mp.bessely(nu, c), mp.bessely(nu, c, 1)
-            p1 = ja * (ypb * jc - jpb * yc) + (a / b) * jpa * (jb * yc - yb * jc)
-            p2 = ja * (ypb * jpc - jpb * ypc) + (a / b) * jpa * (jb * ypc - yb * jpc)
-            F = (1 - N / 2) * p1 + c * p2
-            b1 = b * mp.sqrt(eps / lam_mp)
-            rescaled = F / jpa * mp.pi * nu * (1 - eps) / (eps * b1)
-            trunc = (
-                lam_mp**2 * eps * (M / (3 * N * w) - 1 / (nu * (1 + nu)))
-                + lam_mp * eps * (N / 2 - nu + (2 - N) * N * w / (2 * nu * (1 + nu) * M))
-                - 2 * lam_mp
-                + 2 * N * w * l / M
-                - (2 * N * w * l / M) * ((N - 1) / 2 - w / M - nu) * eps
-            )
-            out.append((float(e), float(abs(rescaled - trunc))))
+            kernel = CharacteristicKernel(cfg, eps)
+            at = kernel.interface(lam_mp)
+            F, _ = kernel.evaluate(at)
+            b1 = at.b * mp.sqrt(eps / lam_mp)
+            rescaled = F / at.jpa * mp.pi * cfg.nu * (1 - eps) / (eps * b1)
+            out.append((float(e), float(abs(rescaled - (c0 + c1 * eps)))))
     return out
 
 
@@ -308,10 +355,19 @@ def remainder_scaling(
 # root finding and continuation
 
 
-def _char_fn(cfg: ProblemConfig, epsilon: float) -> Callable[[float], tuple[float, float]]:
-    if cfg.N == 1:
-        return lambda lam: _characteristic_1d_terms(cfg.M, epsilon, lam)
-    return lambda lam: _characteristic_terms(cfg, epsilon, lam)
+def _char_fn(cfg: ProblemConfig, epsilon: float) -> Callable:
+    """(F, scale) at one (cfg, eps) for a float or an ndarray of lambdas."""
+    if cfg.N >= 2:
+        return CharacteristicKernel(cfg, epsilon)
+
+    def fn(lam):
+        if isinstance(lam, np.ndarray):
+            # elementwise through the float path, so batches match it bitwise
+            pairs = [_characteristic_1d_terms(cfg.M, epsilon, x) for x in lam.tolist()]
+            return tuple(np.array(col) for col in zip(*pairs))
+        return _characteristic_1d_terms(cfg.M, epsilon, lam)
+
+    return fn
 
 
 def _polish_root(
@@ -412,7 +468,7 @@ def _bracketed_root_near(
         lo = max(prediction - w, 1e-10)
         hi = prediction + w
         xs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
-        vals = [fn(x)[0] for x in xs]
+        vals = fn(np.array(xs))[0].tolist()
         candidates = [
             (abs(0.5 * (xs[i] + xs[i + 1]) - prediction), xs[i], xs[i + 1])
             for i in range(len(xs) - 1)
@@ -550,7 +606,7 @@ def scan_roots(
     """
     fn = _char_fn(cfg, epsilon)
     xs = [lam_min + (lam_max - lam_min) * i / samples for i in range(samples + 1)]
-    vals = [fn(x)[0] for x in xs]
+    vals = fn(np.array(xs))[0].tolist()
     roots: list[BranchPoint] = []
     for i in range(samples):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
@@ -641,18 +697,19 @@ class RadialProfile:
         if not 0.0 < r <= 1.0:
             raise ValueError(f"radius must lie in (0, 1], got {r}")
         nu, p = self.cfg.nu, self._power
-        if r <= 1.0 - self.epsilon:
-            k = self._k_inner
-            return p * r ** (p - 1.0) * float(_sp.jv(nu, k * r)) + r**p * k * float(
-                _sp.jvp(nu, k * r)
+        orders = (nu - 1.0, nu)
+        inner = r <= 1.0 - self.epsilon
+        k = self._k_inner if inner else self._k_annulus
+        z = k * r
+        j1, j = _sp.jv(orders, z).tolist()
+        if inner:
+            combo, combo_p = j, _derivative(j1, j, nu, z)
+        else:
+            y1, y = _sp.yv(orders, z).tolist()
+            combo = self.alpha * j + self.beta * y
+            combo_p = self.alpha * _derivative(j1, j, nu, z) + self.beta * _derivative(
+                y1, y, nu, z
             )
-        k = self._k_annulus
-        combo = self.alpha * float(_sp.jv(nu, k * r)) + self.beta * float(
-            _sp.yv(nu, k * r)
-        )
-        combo_p = self.alpha * float(_sp.jvp(nu, k * r)) + self.beta * float(
-            _sp.yvp(nu, k * r)
-        )
         return p * r ** (p - 1.0) * combo + r**p * k * combo_p
 
 
@@ -670,14 +727,11 @@ def radial_profile(
         raise ValueError(
             f"branch point not converged: residual {point.residual:.3e} > {tol:.1e}"
         )
-    nu = cfg.nu
-    a, b = wave_arguments(cfg, point.epsilon, point.lam)
-    ja, jpa = float(_sp.jv(nu, a)), float(_sp.jvp(nu, a))
-    jb, jpb = float(_sp.jv(nu, b)), float(_sp.jvp(nu, b))
-    yb, ypb = float(_sp.yv(nu, b)), float(_sp.yvp(nu, b))
-    pref = math.pi * b / 2.0
-    alpha = pref * (ja * ypb - (a / b) * jpa * yb)
-    beta = pref * ((a / b) * jb * jpa - jpb * ja)
+    at = CharacteristicKernel(cfg, point.epsilon).interface(point.lam)
+    ratio = (at.a / at.b) * at.jpa
+    pref = math.pi * at.b / 2.0
+    alpha = pref * (at.ja * at.ypb - ratio * at.yb)
+    beta = pref * (ratio * at.jb - at.jpb * at.ja)
     return RadialProfile(
         cfg=cfg, epsilon=point.epsilon, lam=point.lam, alpha=alpha, beta=beta
     )

@@ -230,6 +230,7 @@ def _trace_figure_l(
         if points:
             families.append(
                 {
+                    "file": f"family_l{cfg.l}_anchored.csv",
                     "kind": "anchored",
                     "l": cfg.l,
                     "anchor_lambda": anchor.value,
@@ -265,7 +266,8 @@ def _trace_figure_l(
         pts = sorted([seed] + traced, key=lambda p: p.epsilon)
         families.append(
             {
-                "kind": f"scan{idx}",
+                "file": f"family_l{cfg.l}_scan{idx}.csv",
+                "kind": "scan",
                 "l": cfg.l,
                 "anchor_lambda": None,
                 "slope_at_zero": None,
@@ -310,11 +312,10 @@ def _cmd_figure(spec: RunSpec) -> int:
     }
     for fams in results:  # already ordered by l; scan index orders within
         for fam in fams:
-            name = f"family_l{fam['l']}_{fam['kind']}.csv"
-            _branch.write_points_csv(fam["points"], os.path.join(spec.out, name))
+            _branch.write_points_csv(fam["points"], os.path.join(spec.out, fam["file"]))
             manifest["families"].append(
                 {
-                    "file": name,
+                    "file": fam["file"],
                     "l": fam["l"],
                     "kind": fam["kind"],
                     "anchor_lambda": fam["anchor_lambda"],

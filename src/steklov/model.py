@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ProblemConfig",
     "DensityParams",
@@ -134,17 +136,23 @@ def density_params(cfg: ProblemConfig, epsilon: float) -> DensityParams:
     )
 
 
-def wave_arguments(cfg: ProblemConfig, epsilon: float, lam: float) -> tuple[float, float]:
+def wave_arguments(cfg: ProblemConfig, epsilon, lam):
     """Bessel arguments at the interface radius 1-eps.
 
     a = sqrt(lam*eps)*(1-eps) for the inner solution and
     b = sqrt(lam*rho_annulus)*(1-eps) for the annulus solution.
     The characteristic equation is formulated for nonzero eigenvalues only,
-    so lam must be positive.
+    so lam must be positive. lam may be a float, an ndarray of floats (a
+    and b are then arrays of the same shape) or, together with epsilon, an
+    mpmath mpf (a and b are then computed at the working precision).
     """
-    if not lam > 0:
+    positive = lam > 0
+    if not (positive.all() if isinstance(positive, np.ndarray) else positive):
         raise ValueError(f"lambda must be positive, got {lam}")
     params = density_params(cfg, epsilon)
-    a = math.sqrt(lam * epsilon) * (1.0 - epsilon)
-    b = math.sqrt(lam * params.rho_annulus) * (1.0 - epsilon)
+    # np.sqrt covers ndarrays and defers to mpf.sqrt; math.sqrt keeps
+    # float results plain floats (both round the square root correctly)
+    sqrt = math.sqrt if isinstance(lam, (int, float)) else np.sqrt
+    a = sqrt(lam * epsilon) * (1.0 - epsilon)
+    b = sqrt(lam * params.rho_annulus) * (1.0 - epsilon)
     return a, b

@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from steklov.branch import (
     DEFAULT_ROOT_TOL,
     BranchPoint,
-    _characteristic_terms,
+    CharacteristicKernel,
     anchor_eigenvalue,
     characteristic,
     characteristic_1d,
@@ -30,7 +32,7 @@ from steklov.branch import (
     write_points_csv,
 )
 from steklov.errors import BracketError
-from steklov.model import ProblemConfig
+from steklov.model import ProblemConfig, density_params
 from steklov.spectrum import slope_at_zero
 
 CFG_DISC = ProblemConfig(N=2, M=math.pi, l=1)
@@ -75,6 +77,98 @@ def test_characteristic_validates_input():
         characteristic_1d(2.0, 1.5, 1.0)
     with pytest.raises(ValueError):
         characteristic_1d(-2.0, 0.5, 1.0)
+
+
+# the kernel's domain in these tests: N in 2..5, l in 0..6, eps in
+# [0.005, 0.995], lambda in [1e-3, 60]
+KERNEL_CASES = [(N, l) for N in range(2, 6) for l in range(7)]
+
+
+def _kernel_grid(N: int, l: int) -> tuple[list[float], np.ndarray]:
+    rng = np.random.default_rng(10 * N + l)
+    eps = [0.005, 0.995, *rng.uniform(0.005, 0.995, 4).tolist()]
+    lam = np.concatenate([np.geomspace(1e-3, 60.0, 40), rng.uniform(1e-3, 60.0, 40)])
+    return eps, lam
+
+
+def _kernel_tol(N: int) -> float:
+    """Agreement bar relative to the scale of F.
+
+    Measured against mpmath, scipy's jv and yv at half-integer orders
+    (odd N) put F off by up to about 3e-14 of its scale, the jvp/yvp
+    evaluation as much as the kernel; at integer orders (even N) the gap
+    stays near 5e-15.
+    """
+    return 1e-14 if N % 2 == 0 else 5e-14
+
+
+def _characteristic_jvp(cfg: ProblemConfig, eps: float, lam: np.ndarray) -> np.ndarray:
+    """F with the derivatives from scipy's jvp/yvp, independent of the kernel."""
+    nu = cfg.nu
+    rho = density_params(cfg, eps).rho_annulus
+    a = np.sqrt(lam * eps) * (1.0 - eps)
+    b = np.sqrt(lam * rho) * (1.0 - eps)
+    c = b / (1.0 - eps)
+    ja, jpa = special.jv(nu, a), special.jvp(nu, a)
+    jb, jpb = special.jv(nu, b), special.jvp(nu, b)
+    yb, ypb = special.yv(nu, b), special.yvp(nu, b)
+    jc, jpc = special.jv(nu, c), special.jvp(nu, c)
+    yc, ypc = special.yv(nu, c), special.yvp(nu, c)
+    ratio = (a / b) * jpa
+    p1 = ja * (ypb * jc - jpb * yc) + ratio * (jb * yc - yb * jc)
+    p2 = ja * (ypb * jpc - jpb * ypc) + ratio * (jb * ypc - yb * jpc)
+    return (1.0 - cfg.N / 2.0) * p1 + c * p2
+
+
+@pytest.mark.parametrize("N, l", KERNEL_CASES)
+def test_kernel_batch_matches_scalar_bitwise(N, l):
+    """A sign change seen in a batch must survive re-evaluating its ends."""
+    cfg = ProblemConfig(N=N, M=math.pi, l=l)
+    eps_list, lam = _kernel_grid(N, l)
+    for eps in eps_list:
+        kernel = CharacteristicKernel(cfg, eps)
+        values, scales = kernel(lam)
+        scalar = [kernel(x) for x in lam.tolist()]
+        assert all(type(v) is float and type(s) is float for v, s in scalar)
+        assert np.array([v for v, _ in scalar]).tobytes() == values.tobytes()
+        # the moduli come from math.hypot or np.hypot, which may round apart
+        np.testing.assert_allclose([s for _, s in scalar], scales, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("N, l", KERNEL_CASES)
+def test_kernel_agrees_with_jvp_evaluation(N, l):
+    cfg = ProblemConfig(N=N, M=math.pi, l=l)
+    eps_list, lam = _kernel_grid(N, l)
+    for eps in eps_list:
+        values, scales = CharacteristicKernel(cfg, eps)(lam)
+        gap = np.abs(values - _characteristic_jvp(cfg, eps, lam)) / scales
+        assert gap.max() <= _kernel_tol(N), f"eps={eps}"
+
+
+@pytest.mark.parametrize("N, l", KERNEL_CASES)
+def test_kernel_mpmath_path_agrees_with_float_path(N, l):
+    cfg = ProblemConfig(N=N, M=math.pi, l=l)
+    eps_list, lam = _kernel_grid(N, l)
+    with mp.workdps(30):
+        for eps in eps_list[::2]:
+            kernel = CharacteristicKernel(cfg, eps)
+            kernel_mp = CharacteristicKernel(cfg, mp.mpf(eps))
+            for x in lam[::27].tolist():
+                value, scale = kernel(x)
+                value_mp, scale_mp = kernel_mp(mp.mpf(x))
+                assert isinstance(value_mp, mp.mpf)
+                assert abs(value - value_mp) <= _kernel_tol(N) * scale_mp
+                assert scale == pytest.approx(float(scale_mp), rel=1e-13)
+
+
+def test_kernel_rejects_one_dimension_and_nonpositive_lambda():
+    with pytest.raises(ValueError):
+        CharacteristicKernel(ProblemConfig(N=1, M=2.0, l=1), 0.1)
+    kernel = CharacteristicKernel(CFG_DISC, 0.1)
+    with pytest.raises(ValueError):
+        kernel(0.0)
+    with pytest.raises(ValueError):
+        kernel(np.array([1.0, -1.0]))
 
 
 def test_find_root_requires_sign_change():
@@ -315,7 +409,7 @@ def test_csv_round_trip_revalidates(tmp_path):
         lam = float(row["lambda"])
         res = float(row["residual"])
         assert eps == pt.epsilon and lam == pt.lam and res == pt.residual
-        value, scale = _characteristic_terms(CFG_DISC, eps, lam)
+        value, scale = CharacteristicKernel(CFG_DISC, eps)(lam)
         assert abs(value) / scale <= DEFAULT_ROOT_TOL
 
 

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -202,6 +203,20 @@ def test_figure_outputs_and_worker_determinism(tmp_path):
     assert names_a == names_b
     for name in names_a:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    # a taller window holds a family seeded by the root scan; its kind is
+    # plain "scan" and the scan index lives only in the file name
+    dir_c = tmp_path / "c"
+    taller = [*common[:-1], "60"]
+    proc_c = run_cli(*taller, "--workers", "1", "--out", str(dir_c))
+    assert proc_c.returncode == 0, proc_c.stderr
+    manifest = json.loads((dir_c / "manifest.json").read_text(encoding="ascii"))
+    for family in manifest["families"]:
+        assert family["kind"] in ("anchored", "scan")
+        assert (dir_c / family["file"]).is_file()
+    scans = [f for f in manifest["families"] if f["kind"] == "scan"]
+    assert scans, "the lambda <= 60 window should hold a scan family"
+    assert all(re.fullmatch(r"family_l\d+_scan\d+\.csv", f["file"]) for f in scans)
 
 
 def test_figure_requires_output_directory():
