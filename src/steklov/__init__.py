@@ -38,7 +38,6 @@ from .branch import (
     slope_from_truncated,
     trace_family,
     truncated_characteristic,
-    write_csv,
     write_points_csv,
 )
 from .crossprod import (
@@ -115,6 +114,5 @@ __all__ = [
     "truncated_characteristic",
     "unit_ball_volume",
     "wave_arguments",
-    "write_csv",
     "write_points_csv",
 ]

@@ -52,7 +52,6 @@ __all__ = [
     "slope_estimate",
     "radial_profile",
     "anchor_eigenvalue",
-    "write_csv",
     "write_points_csv",
     "sidecar_metadata",
 ]
@@ -749,10 +748,6 @@ def write_points_csv(
     lines += [f"{p.epsilon!r},{p.lam!r},{p.residual!r}" for p in points]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_csv(table: BranchTable, path: str | os.PathLike) -> None:
-    write_points_csv(table.points, path)
 
 
 def sidecar_metadata(table: BranchTable) -> dict:

@@ -5,10 +5,16 @@ slope difference quotients, export multi-family figure data, and run the
 verification suites (cross-product identities, remainder scaling, the
 Bessel-vs-shooting oracle comparison, eigenfunction matching).
 
+Each handler reads the parsed argparse namespace. `spectrum` and `slope`
+take --format csv|json; the root-finding commands (branch, slope, figure,
+oracle-compare, eigenfunction) take --root-tol, which falls back to the
+STEKLOV_ROOT_TOL environment variable.
+
 Exit codes: 0 on success, 2 for flag or domain errors, 3 for numerical
 failures (lost brackets, gate violations). Failures emit one JSON object
-{"code", "message", "context"} on stderr. All CSV output uses repr float
-formatting, so identical invocations produce byte-identical files.
+{"code", "message", "context"} on stderr, the context holding the command
+and its argv. All CSV output uses repr float formatting, so identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from . import branch as _branch
 from . import crossprod as _cp
@@ -29,7 +33,7 @@ from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig
 from .spectrum import steklov_eigenvalue
 
-__all__ = ["RunSpec", "run", "main"]
+__all__ = ["main"]
 
 
 class UsageError(ValueError):
@@ -98,28 +102,6 @@ def _parse_float_list(text: str) -> list[float]:
         raise UsageError(f"expected comma-separated floats, got {text!r}") from None
 
 
-@dataclass
-class RunSpec:
-    command: str
-    N: int = 0
-    M: float = 0.0
-    l: int | None = None
-    l_range: tuple[int, int] | None = None
-    eps: float | None = None
-    eps_list: list[float] = field(default_factory=list)
-    eps_range: tuple[float, float] | None = None
-    eps_max: float | None = None
-    steps: int = 200
-    lam_max: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    samples: int = 512
-    grid_size: int = 2000
-    points: int = 8
-    workers: int = 4
-    root_tol: float | None = None
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -139,71 +121,69 @@ def _csv(header: str, rows: list[tuple]) -> str:
 # subcommands
 
 
-def _cmd_spectrum(spec: RunSpec) -> int:
-    if spec.l is not None:
-        ls = [spec.l]
-    elif spec.l_range is not None:
-        ls = list(range(spec.l_range[0], spec.l_range[1] + 1))
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.l_max is not None and args.l_max < 0:
+        raise UsageError("--l-max must be >= 0")
+    if args.l is not None:
+        ls = [args.l]
+    elif args.l_max is not None:
+        ls = list(range(args.l_max + 1))
     else:
         raise UsageError("spectrum needs --l or --l-max")
     rows = []
     for l in ls:
-        ev = steklov_eigenvalue(ProblemConfig(N=spec.N, M=spec.M, l=l))
+        ev = steklov_eigenvalue(ProblemConfig(N=args.N, M=args.M, l=l))
         rows.append((ev.l, ev.value, ev.multiplicity, ev.slope))
-    if spec.fmt == "json":
+    if args.fmt == "json":
         payload = [
             {"l": r[0], "lambda": r[1], "multiplicity": r[2], "slope": r[3]}
             for r in rows
         ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", spec.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(_csv("l,lambda,multiplicity,slope", rows), spec.out)
+        _emit(_csv("l,lambda,multiplicity,slope", rows), args.out)
     return 0
 
 
-def _cmd_branch(spec: RunSpec) -> int:
-    if spec.l is None or spec.eps_max is None:
-        raise UsageError("branch needs --l and --eps-max")
-    cfg = ProblemConfig(N=spec.N, M=spec.M, l=spec.l)
+def _cmd_branch(args: argparse.Namespace) -> int:
+    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
     table = _branch.continue_branch(
         cfg,
-        spec.eps_max,
-        spec.steps,
-        root_tol=spec.root_tol,
-        lam_max=spec.lam_max,
+        args.eps_max,
+        args.steps,
+        root_tol=args.root_tol,
+        lam_max=args.lam_max,
     )
-    if spec.out is None:
+    if args.out is None:
         rows = [(p.epsilon, p.lam, p.residual) for p in table.points]
         _emit(_csv("epsilon,lambda,residual", rows), None)
     else:
-        _branch.write_csv(table, spec.out)
-        sidecar = os.path.splitext(spec.out)[0] + ".json"
+        _branch.write_points_csv(table.points, args.out)
+        sidecar = os.path.splitext(args.out)[0] + ".json"
         with open(sidecar, "w", encoding="ascii") as fh:
             json.dump(_branch.sidecar_metadata(table), fh, indent=2, sort_keys=True)
             fh.write("\n")
     if table.truncated:
         raise VerificationFailure(
-            f"branch truncated after {len(table.points)} of {spec.steps} points"
+            f"branch truncated after {len(table.points)} of {args.steps} points"
         )
     return 0
 
 
-def _cmd_slope(spec: RunSpec) -> int:
-    if spec.l is None:
-        raise UsageError("slope needs --l")
-    cfg = ProblemConfig(N=spec.N, M=spec.M, l=spec.l)
-    eps_list = spec.eps_list or [1e-2, 1e-3, 1e-4]
+def _cmd_slope(args: argparse.Namespace) -> int:
+    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    eps_list = args.eps or [1e-2, 1e-3, 1e-4]
     anchor = _branch.anchor_eigenvalue(cfg)
-    quotients = _branch.slope_estimate(cfg, eps_list, root_tol=spec.root_tol)
+    quotients = _branch.slope_estimate(cfg, eps_list, root_tol=args.root_tol)
     rows = [(e, q, anchor.slope) for e, q in quotients]
-    if spec.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "formula": anchor.slope,
             "quotients": [{"epsilon": e, "quotient": q} for e, q, _ in rows],
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", spec.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(_csv("epsilon,quotient,formula", rows), spec.out)
+        _emit(_csv("epsilon,quotient,formula", rows), args.out)
     return 0
 
 
@@ -278,41 +258,33 @@ def _trace_figure_l(
     return families
 
 
-def _cmd_figure(spec: RunSpec) -> int:
-    if spec.l_range is None or spec.eps_range is None:
-        raise UsageError("figure needs --l lo..hi and --eps lo..hi")
-    if spec.out is None:
+def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.out is None:
         raise UsageError("figure needs --out DIR")
-    lam_max = spec.lam_max if spec.lam_max is not None else 50.0
-    lo, hi = spec.eps_range
+    lo, hi = args.eps
     if not (0.0 < lo < hi < 1.0):
         raise UsageError(f"eps range must sit strictly inside (0, 1), got {lo}..{hi}")
-    n = spec.steps
+    n = args.steps
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)] if n > 1 else [lo]
-    configs = [
-        ProblemConfig(N=spec.N, M=spec.M, l=l)
-        for l in range(spec.l_range[0], spec.l_range[1] + 1)
-    ]
-    with ThreadPoolExecutor(max_workers=max(1, spec.workers)) as pool:
-        results = list(
-            pool.map(
-                lambda cfg: _trace_figure_l(cfg, grid, lam_max, spec.root_tol),
-                configs,
-            )
+    results = [
+        _trace_figure_l(
+            ProblemConfig(N=args.N, M=args.M, l=l), grid, args.lam_max, args.root_tol
         )
-    os.makedirs(spec.out, exist_ok=True)
+        for l in range(args.l[0], args.l[1] + 1)
+    ]
+    os.makedirs(args.out, exist_ok=True)
     manifest: dict = {
-        "N": spec.N,
-        "M": spec.M,
+        "N": args.N,
+        "M": args.M,
         "eps_min": lo,
         "eps_max": hi,
         "steps": n,
-        "lambda_max": lam_max,
+        "lambda_max": args.lam_max,
         "families": [],
     }
     for fams in results:  # already ordered by l; scan index orders within
         for fam in fams:
-            _branch.write_points_csv(fam["points"], os.path.join(spec.out, fam["file"]))
+            _branch.write_points_csv(fam["points"], os.path.join(args.out, fam["file"]))
             manifest["families"].append(
                 {
                     "file": fam["file"],
@@ -324,36 +296,36 @@ def _cmd_figure(spec: RunSpec) -> int:
                     "points": len(fam["points"]),
                 }
             )
-    with open(os.path.join(spec.out, "manifest.json"), "w", encoding="ascii") as fh:
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
 
 
-def _point_at(spec: RunSpec, cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
+def _point_at(
+    cfg: ProblemConfig, eps: float, root_tol: float | None
+) -> _branch.BranchPoint:
     steps = max(4, int(math.ceil(eps / 0.05)))
-    table = _branch.continue_branch(cfg, eps, steps, root_tol=spec.root_tol)
+    table = _branch.continue_branch(cfg, eps, steps, root_tol=root_tol)
     if table.truncated or not table.points:
         raise BracketError(f"branch lost before eps={eps}")
     return table.points[-1]
 
 
-def _cmd_oracle_compare(spec: RunSpec) -> int:
-    if spec.l is None:
-        raise UsageError("oracle-compare needs --l")
-    cfg = ProblemConfig(N=spec.N, M=spec.M, l=spec.l)
-    eps_list = spec.eps_list or [0.01, 0.05, 0.1, 0.3]
+def _cmd_oracle_compare(args: argparse.Namespace) -> int:
+    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    eps_list = args.eps or [0.01, 0.05, 0.1, 0.3]
     tol = 1e-8
     rows = []
     worst = 0.0
     for eps in eps_list:
-        pt = _point_at(spec, cfg, eps)
+        pt = _point_at(cfg, eps, args.root_tol)
         width = max(0.05 * pt.lam, 0.02)
         res = _sh.eigenvalue_by_shooting(
             cfg,
             eps,
             (pt.lam - width, pt.lam + width),
-            grid_size=spec.grid_size,
+            grid_size=args.grid_size,
             tol=1e-12,
         )
         rel = abs(res.lam - pt.lam) / abs(pt.lam)
@@ -368,7 +340,7 @@ def _cmd_oracle_compare(spec: RunSpec) -> int:
         )
     payload = {"rows": rows, "max_rel_diff": worst, "tolerance": tol,
                "pass": worst <= tol}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", spec.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     if worst > tol:
         raise VerificationFailure(
             f"oracle disagreement {worst:.3e} exceeds {tol:.1e}"
@@ -376,7 +348,7 @@ def _cmd_oracle_compare(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_verify_crossprod(spec: RunSpec) -> int:
+def _cmd_verify_crossprod(args: argparse.Namespace) -> int:
     nus = [k / 2.0 for k in range(0, 11)]
     zs = [0.5, 1.0, 2.0, 5.0, 10.0]
     worst_closed = 0.0
@@ -409,18 +381,16 @@ def _cmd_verify_crossprod(spec: RunSpec) -> int:
         "gates": {"closed": 1e-10, "recursive": 1e-9},
         "pass": exact and worst_closed <= 1e-10 and worst_recursive <= 1e-9,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", spec.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     if not payload["pass"]:
         raise VerificationFailure("cross-product identity gates exceeded")
     return 0
 
 
-def _cmd_verify_remainder(spec: RunSpec) -> int:
-    if spec.l is None:
-        raise UsageError("verify-remainder needs --l")
-    cfg = ProblemConfig(N=spec.N, M=spec.M, l=spec.l)
+def _cmd_verify_remainder(args: argparse.Namespace) -> int:
+    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
     anchor = _branch.anchor_eigenvalue(cfg)
-    n = spec.points
+    n = args.points
     grid = [10.0 ** (-5.0 + 3.0 * i / (n - 1)) for i in range(n)]
     data = _branch.remainder_scaling(cfg, anchor.value, grid)
     xs = [math.log(e) for e, _ in data]
@@ -437,7 +407,7 @@ def _cmd_verify_remainder(spec: RunSpec) -> int:
         "gate": 1.4,
         "pass": slope >= 1.4,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", spec.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     if slope < 1.4:
         raise VerificationFailure(
             f"remainder log-log slope {slope:.3f} below 1.4"
@@ -445,18 +415,16 @@ def _cmd_verify_remainder(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_eigenfunction(spec: RunSpec) -> int:
-    if spec.l is None or spec.eps is None:
-        raise UsageError("eigenfunction needs --l and --eps")
-    cfg = ProblemConfig(N=spec.N, M=spec.M, l=spec.l)
-    pt = _point_at(spec, cfg, spec.eps)
-    prof = _branch.radial_profile(cfg, pt, root_tol=spec.root_tol)
-    n = spec.samples
+def _cmd_eigenfunction(args: argparse.Namespace) -> int:
+    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    pt = _point_at(cfg, args.eps, args.root_tol)
+    prof = _branch.radial_profile(cfg, pt, root_tol=args.root_tol)
+    n = args.samples
     rows = []
     for i in range(1, n + 1):
         r = i / n
         rows.append((r, prof.value(r), prof.derivative(r)))
-    _emit(_csv("r,S,dS", rows), spec.out)
+    _emit(_csv("r,S,dS", rows), args.out)
     return 0
 
 
@@ -472,13 +440,6 @@ _COMMANDS = {
 }
 
 
-def run(spec: RunSpec) -> int:
-    """Dispatch a RunSpec; returns the exit code, raising on failure."""
-    if spec.command not in _COMMANDS:
-        raise UsageError(f"unknown command {spec.command!r}")
-    return _COMMANDS[spec.command](spec)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -492,39 +453,42 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="steklov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, *, cfg: bool = True) -> None:
+    def common(
+        p: _Parser, *, cfg: bool = True, fmt: bool = False, roots: bool = False
+    ) -> None:
         if cfg:
             p.add_argument("--N", type=int, required=True)
             p.add_argument("--M", type=parse_mass, required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default="csv")
-        p.add_argument("--root-tol", dest="root_tol", type=float, default=None)
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                           default="csv")
+        if roots:
+            p.add_argument("--root-tol", dest="root_tol", type=float, default=None)
 
     p = sub.add_parser("spectrum", help="Steklov eigenvalues and multiplicities")
-    common(p)
+    common(p, fmt=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--l-max", dest="l_max", type=int, default=None)
 
     p = sub.add_parser("branch", help="trace one eigenvalue branch in eps")
-    common(p)
+    common(p, roots=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps-max", dest="eps_max", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--lambda-max", dest="lam_max", type=float, default=None)
 
     p = sub.add_parser("slope", help="difference quotients vs the slope formula")
-    common(p)
+    common(p, fmt=True, roots=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps", type=_parse_float_list, default=None)
 
     p = sub.add_parser("figure", help="multi-family branch data for plotting")
-    common(p)
+    common(p, roots=True)
     p.add_argument("--l", type=_parse_int_range, required=True)
     p.add_argument("--eps", type=_parse_float_range, required=True)
     p.add_argument("--steps", type=int, default=199)
     p.add_argument("--lambda-max", dest="lam_max", type=float, default=50.0)
-    p.add_argument("--workers", type=int, default=4)
 
     p = sub.add_parser("verify-crossprod", help="cross-product identity gates")
     common(p, cfg=False)
@@ -535,13 +499,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=8)
 
     p = sub.add_parser("oracle-compare", help="characteristic roots vs shooting")
-    common(p)
+    common(p, roots=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps", type=_parse_float_list, default=None)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=2000)
 
     p = sub.add_parser("eigenfunction", help="radial profile at a branch point")
-    common(p)
+    common(p, roots=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, default=512)
@@ -549,54 +513,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    spec = RunSpec(command=args.command)
-    spec.N = getattr(args, "N", 0)
-    spec.M = getattr(args, "M", 0.0)
-    spec.out = getattr(args, "out", None)
-    spec.fmt = getattr(args, "fmt", "csv")
+def _resolve_root_tol(flag: float | None) -> float | None:
+    """The --root-tol flag wins; otherwise STEKLOV_ROOT_TOL, if set."""
     env_tol = os.environ.get("STEKLOV_ROOT_TOL")
-    spec.root_tol = getattr(args, "root_tol", None)
-    if spec.root_tol is None and env_tol is not None:
-        try:
-            spec.root_tol = float(env_tol)
-        except ValueError:
-            raise UsageError(
-                f"STEKLOV_ROOT_TOL is not a float: {env_tol!r}"
-            ) from None
-
-    if args.command == "spectrum":
-        spec.l = args.l
-        if args.l_max is not None:
-            if args.l_max < 0:
-                raise UsageError("--l-max must be >= 0")
-            spec.l_range = (0, args.l_max)
-    elif args.command == "branch":
-        spec.l = args.l
-        spec.eps_max = args.eps_max
-        spec.steps = args.steps
-        spec.lam_max = args.lam_max
-    elif args.command == "slope":
-        spec.l = args.l
-        spec.eps_list = args.eps or []
-    elif args.command == "figure":
-        spec.l_range = args.l
-        spec.eps_range = args.eps
-        spec.steps = args.steps
-        spec.lam_max = args.lam_max
-        spec.workers = args.workers
-    elif args.command == "verify-remainder":
-        spec.l = args.l
-        spec.points = args.points
-    elif args.command == "oracle-compare":
-        spec.l = args.l
-        spec.eps_list = args.eps or []
-        spec.grid_size = args.grid_size
-    elif args.command == "eigenfunction":
-        spec.l = args.l
-        spec.eps = args.eps
-        spec.samples = args.samples
-    return spec
+    if flag is not None or env_tol is None:
+        return flag
+    try:
+        return float(env_tol)
+    except ValueError:
+        raise UsageError(f"STEKLOV_ROOT_TOL is not a float: {env_tol!r}") from None
 
 
 def _fail(code: int, message: str, context: dict) -> int:
@@ -609,19 +534,21 @@ def _fail(code: int, message: str, context: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and not argv[0].startswith("-") else None
+    context = {
+        "command": argv[0] if argv and not argv[0].startswith("-") else None,
+        "argv": argv,
+    }
     try:
         args = _build_parser().parse_args(argv)
-        spec = _spec_from_args(args)
-        return run(spec)
-    except UsageError as exc:
-        return _fail(2, str(exc), {"command": command, "argv": argv})
+        if "root_tol" in args:  # only the root-finding commands take it
+            args.root_tol = _resolve_root_tol(args.root_tol)
+        return _COMMANDS[args.command](args)
     except (BracketError, IterationLimitError, VerificationFailure) as exc:
-        return _fail(3, str(exc), {"command": command})
-    except ValueError as exc:
-        return _fail(2, str(exc), {"command": command})
+        return _fail(3, str(exc), context)
+    except ValueError as exc:  # UsageError included
+        return _fail(2, str(exc), context)
     except (ArithmeticError, RuntimeError) as exc:
-        return _fail(3, str(exc), {"command": command})
+        return _fail(3, str(exc), context)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from steklov.branch import (
     slope_from_truncated,
     trace_family,
     truncated_characteristic,
-    write_csv,
     write_points_csv,
 )
 from steklov.errors import BracketError
@@ -400,7 +399,7 @@ def test_csv_round_trip_revalidates(tmp_path):
     """Every written row parses back and satisfies the residual gate."""
     table = continue_branch(CFG_DISC, 0.1, 5)
     path = tmp_path / "family.csv"
-    write_csv(table, path)
+    write_points_csv(table.points, path)
     with open(path, newline="", encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(table.points)

@@ -95,14 +95,17 @@ def test_domain_violation_is_usage_error():
 
 
 def test_unreachable_tolerance_is_numerical_failure():
-    proc = run_cli(
+    argv = [
         "branch",
         "--N", "2", "--M", "pi", "--l", "1",
         "--eps-max", "0.05", "--steps", "2",
         "--root-tol", "1e-30",
-    )
+    ]
+    proc = run_cli(*argv)
     assert proc.returncode == 3
-    assert stderr_payload(proc)["code"] == 3
+    payload = stderr_payload(proc)
+    assert payload["code"] == 3
+    assert payload["context"] == {"command": "branch", "argv": argv}
 
 
 def test_root_tol_environment_variable():
@@ -121,6 +124,34 @@ def test_root_tol_environment_variable():
         env_extra=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, env, code",
+    [
+        # --format is taken only by spectrum and slope
+        (["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05",
+          "--steps", "2", "--format", "json"], {}, 2),
+        # verify-crossprod finds no roots and has a fixed JSON report
+        (["verify-crossprod", "--format", "csv", "--root-tol", "5"], {}, 2),
+        # STEKLOV_ROOT_TOL is read only by the root-finding commands
+        (["spectrum", "--N", "2", "--M", "pi", "--l", "1"],
+         {"STEKLOV_ROOT_TOL": "abc"}, 0),
+        (["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05",
+          "--steps", "2"], {"STEKLOV_ROOT_TOL": "abc"}, 2),
+    ],
+    ids=["branch-format", "crossprod-format-root-tol", "spectrum-env", "branch-env"],
+)
+def test_flags_only_where_read(args, env, code):
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        payload = stderr_payload(proc)
+        assert payload["code"] == code
+        assert payload["context"]["argv"] == args
+    else:
+        (row,) = parse_csv(proc.stdout)
+        assert float(row["lambda"]) == 2.0
 
 
 def test_branch_writes_csv_and_sidecar(tmp_path):
@@ -171,7 +202,7 @@ def test_slope_table_headers_and_values():
         assert abs(quotient - formula) <= 5.0 * formula * eps
 
 
-def test_figure_outputs_and_worker_determinism(tmp_path):
+def test_figure_outputs_and_determinism(tmp_path):
     common = [
         "figure",
         "--N", "2", "--M", "pi",
@@ -182,8 +213,8 @@ def test_figure_outputs_and_worker_determinism(tmp_path):
     ]
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
-    proc_a = run_cli(*common, "--workers", "1", "--out", str(dir_a))
-    proc_b = run_cli(*common, "--workers", "4", "--out", str(dir_b))
+    proc_a = run_cli(*common, "--out", str(dir_a))
+    proc_b = run_cli(*common, "--out", str(dir_b))
     assert proc_a.returncode == 0, proc_a.stderr
     assert proc_b.returncode == 0, proc_b.stderr
 
@@ -208,7 +239,7 @@ def test_figure_outputs_and_worker_determinism(tmp_path):
     # plain "scan" and the scan index lives only in the file name
     dir_c = tmp_path / "c"
     taller = [*common[:-1], "60"]
-    proc_c = run_cli(*taller, "--workers", "1", "--out", str(dir_c))
+    proc_c = run_cli(*taller, "--out", str(dir_c))
     assert proc_c.returncode == 0, proc_c.stderr
     manifest = json.loads((dir_c / "manifest.json").read_text(encoding="ascii"))
     for family in manifest["families"]:
@@ -217,6 +248,18 @@ def test_figure_outputs_and_worker_determinism(tmp_path):
     scans = [f for f in manifest["families"] if f["kind"] == "scan"]
     assert scans, "the lambda <= 60 window should hold a scan family"
     assert all(re.fullmatch(r"family_l\d+_scan\d+\.csv", f["file"]) for f in scans)
+
+
+def test_figure_rejects_workers_flag(tmp_path):
+    proc = run_cli(
+        "figure", "--N", "2", "--M", "pi", "--l", "1..2", "--eps", "0.1..0.3",
+        "--workers", "2", "--out", str(tmp_path / "fig"),
+    )
+    assert proc.returncode == 2
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "--workers" in payload["message"]
+    assert not (tmp_path / "fig").exists()
 
 
 def test_figure_requires_output_directory():
