@@ -137,11 +137,12 @@ class CharacteristicKernel:
       last bit, math.hypot and np.hypot round on their own);
     - an mpf, when eps is an mpf too: mpfs at the working precision.
 
-    One call evaluates wave_arguments once, J at orders (nu-1, nu) on
-    (a, b, c) and Y at the same orders on (b, c): scipy's jv and yv (AMOS)
-    for float and ndarray lambda, one ufunc call each, or mpmath's besselj
-    and bessely. The derivatives follow from the order nu-1 values by
-    DLMF 10.6.2.
+    The density at eps is computed once, when the kernel is built (so an
+    eps outside (0, 1) fails there). One call evaluates wave_arguments
+    once, J at orders (nu-1, nu) on (a, b, c) and Y at the same orders on
+    (b, c): scipy's jv and yv (AMOS) for float and ndarray lambda, one
+    ufunc call each, or mpmath's besselj and bessely. The derivatives
+    follow from the order nu-1 values by DLMF 10.6.2.
     """
 
     def __init__(self, cfg: ProblemConfig, epsilon) -> None:
@@ -152,12 +153,13 @@ class CharacteristicKernel:
         self._nu = cfg.nu
         self._w1 = 1.0 - cfg.N / 2.0
         self._mp = isinstance(epsilon, mp.mpf)
+        self._density = density_params(cfg, epsilon)
         # orders (nu-1, nu) as a column, broadcast against the arguments
         self._orders = np.array([[self._nu - 1.0], [self._nu]])
 
     def interface(self, lam) -> _Interface:
         """Wave arguments and Bessel values of one evaluation at lambda."""
-        a, b = wave_arguments(self.cfg, self.epsilon, lam)
+        a, b = wave_arguments(self.cfg, self.epsilon, lam, self._density)
         c = b / (1.0 - self.epsilon)
         nu = self._nu
         if self._mp:
@@ -403,20 +405,32 @@ def find_root(
     bracket: tuple[float, float],
     *,
     root_tol: float | None = None,
+    _known: tuple[float, float] | None = None,
 ) -> BranchPoint:
     """Brent's method on the bracketing interval, residual-checked.
 
     The bracket endpoints must produce a sign change; convergence is
     accepted only when |F| at the root is below root_tol relative to the
-    largest constituent term of F.
+    largest constituent term of F. Each lambda is evaluated at most once
+    per call: Brent's points are kept with their scale, so the polish
+    does not evaluate again the iterate it starts from or the
+    neighbouring floats Brent already tried. _known, passed by the window
+    and scan callers in this module, is F at (lo, hi) as the kernel
+    returned it there; the ends are then not evaluated again.
     """
     tol = _root_tol(root_tol)
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
-    fn = _char_fn(cfg, epsilon)
-    f_lo, _ = fn(lo)
-    f_hi, _ = fn(hi)
+    kernel = _char_fn(cfg, epsilon)
+    memo: dict[float, tuple[float, float]] = {}
+
+    def fn(x: float) -> tuple[float, float]:
+        if x not in memo:
+            memo[x] = kernel(x)
+        return memo[x]
+
+    f_lo, f_hi = (fn(lo)[0], fn(hi)[0]) if _known is None else _known
     if f_lo == 0.0:
         root = lo
     elif f_hi == 0.0:
@@ -428,7 +442,7 @@ def find_root(
         )
     else:
         root, result = _opt.brentq(
-            lambda x: fn(x)[0],
+            lambda x: f_lo if x == lo else f_hi if x == hi else fn(x)[0],
             lo,
             hi,
             xtol=1e-15,
@@ -460,22 +474,37 @@ def _bracketed_root_near(
     *,
     root_tol: float | None,
 ) -> BranchPoint | None:
-    """Scan a widening window around the prediction, pick the nearest root."""
+    """Solve the sign change nearest the prediction in a widening window.
+
+    _SCAN_POINTS equispaced points split [prediction - w, prediction + w]
+    (lo clipped at 1e-10) into cells, visited by the distance of their
+    midpoint to the prediction, then by their lower end. The first cell
+    whose ends change sign, or whose lower end is a root, goes to
+    find_root with its known end values. Each point is one scalar kernel
+    call, made when its first cell is reached, so a window without a
+    sign change costs _SCAN_POINTS calls; it then widens by sqrt(2), at
+    most _EXPANSIONS times.
+    """
     fn = _char_fn(cfg, epsilon)
     w = half_width
     for _ in range(_EXPANSIONS):
         lo = max(prediction - w, 1e-10)
         hi = prediction + w
         xs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
-        vals = fn(np.array(xs))[0].tolist()
-        candidates = [
-            (abs(0.5 * (xs[i] + xs[i + 1]) - prediction), xs[i], xs[i + 1])
-            for i in range(len(xs) - 1)
-            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0
-        ]
-        if candidates:
-            _, lo_c, hi_c = min(candidates)
-            return find_root(cfg, epsilon, (lo_c, hi_c), root_tol=root_tol)
+        cells = sorted(
+            range(_SCAN_POINTS - 1),
+            key=lambda i: (abs(0.5 * (xs[i] + xs[i + 1]) - prediction), xs[i]),
+        )
+        vals: dict[int, float] = {}
+        for i in cells:
+            for j in (i, i + 1):
+                if j not in vals:
+                    vals[j] = fn(xs[j])[0]
+            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
+                return find_root(
+                    cfg, epsilon, (xs[i], xs[i + 1]),
+                    root_tol=root_tol, _known=(vals[i], vals[i + 1]),
+                )
         w *= math.sqrt(2.0)
     return None
 
@@ -600,8 +629,9 @@ def scan_roots(
 ) -> list[BranchPoint]:
     """All roots of the characteristic in (lam_min, lam_max) at fixed eps.
 
-    Uniform sign scan plus Brent refinement; used to seed the divergent
-    families that have no eps -> 0 anchor.
+    Uniform sign scan (one batched kernel call) plus Brent refinement,
+    which reuses the sampled values at the cell ends; used to seed the
+    divergent families that have no eps -> 0 anchor.
     """
     fn = _char_fn(cfg, epsilon)
     xs = [lam_min + (lam_max - lam_min) * i / samples for i in range(samples + 1)]
@@ -610,7 +640,10 @@ def scan_roots(
     for i in range(samples):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
             roots.append(
-                find_root(cfg, epsilon, (xs[i], xs[i + 1]), root_tol=root_tol)
+                find_root(
+                    cfg, epsilon, (xs[i], xs[i + 1]),
+                    root_tol=root_tol, _known=(vals[i], vals[i + 1]),
+                )
             )
     return roots
 

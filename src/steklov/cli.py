@@ -122,14 +122,10 @@ def _csv(header: str, rows: list[tuple]) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    # argparse lets exactly one of --l and --l-max through
     if args.l_max is not None and args.l_max < 0:
         raise UsageError("--l-max must be >= 0")
-    if args.l is not None:
-        ls = [args.l]
-    elif args.l_max is not None:
-        ls = list(range(args.l_max + 1))
-    else:
-        raise UsageError("spectrum needs --l or --l-max")
+    ls = [args.l] if args.l is not None else list(range(args.l_max + 1))
     rows = []
     for l in ls:
         ev = steklov_eigenvalue(ProblemConfig(N=args.N, M=args.M, l=l))
@@ -468,8 +464,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="Steklov eigenvalues and multiplicities")
     common(p, fmt=True)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--l-max", dest="l_max", type=int, default=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--l", type=int, default=None)
+    which.add_argument("--l-max", dest="l_max", type=int, default=None)
 
     p = sub.add_parser("branch", help="trace one eigenvalue branch in eps")
     common(p, roots=True)

@@ -136,7 +136,9 @@ def density_params(cfg: ProblemConfig, epsilon: float) -> DensityParams:
     )
 
 
-def wave_arguments(cfg: ProblemConfig, epsilon, lam):
+def wave_arguments(
+    cfg: ProblemConfig, epsilon, lam, _density: DensityParams | None = None
+):
     """Bessel arguments at the interface radius 1-eps.
 
     a = sqrt(lam*eps)*(1-eps) for the inner solution and
@@ -145,11 +147,22 @@ def wave_arguments(cfg: ProblemConfig, epsilon, lam):
     so lam must be positive. lam may be a float, an ndarray of floats (a
     and b are then arrays of the same shape) or, together with epsilon, an
     mpmath mpf (a and b are then computed at the working precision).
+    _density, passed by the characteristic kernel, which evaluates many
+    lambdas at one (cfg, eps), is density_params(cfg, epsilon) computed
+    once; building it on every call would cost about a tenth of a scalar
+    kernel call.
     """
     positive = lam > 0
     if not (positive.all() if isinstance(positive, np.ndarray) else positive):
         raise ValueError(f"lambda must be positive, got {lam}")
-    params = density_params(cfg, epsilon)
+    if _density is None:
+        params = density_params(cfg, epsilon)
+    elif _density.epsilon == epsilon:
+        params = _density
+    else:
+        raise ValueError(
+            f"density is for eps={_density.epsilon}, not eps={epsilon}"
+        )
     # np.sqrt covers ndarrays and defers to mpf.sqrt; math.sqrt keeps
     # float results plain floats (both round the square root correctly)
     sqrt = math.sqrt if isinstance(lam, (int, float)) else np.sqrt

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from steklov import branch
 from steklov.branch import (
     DEFAULT_ROOT_TOL,
     BranchPoint,
@@ -346,6 +347,100 @@ def test_scan_roots_finds_all_crossings():
     assert lams[1] == pytest.approx(102.02980242642715, rel=1e-9)
     for p in roots:
         assert p.residual <= DEFAULT_ROOT_TOL
+
+
+def _full_window_bracket(cfg, eps, prediction, half_width):
+    """The corrector's former window: all 25 points in one batch, min() pick.
+
+    Returns (bracket or None, expansions used, sign changes, lo clipped).
+    """
+    kernel = CharacteristicKernel(cfg, eps)
+    w = half_width
+    for expansions in range(4):
+        lo = max(prediction - w, 1e-10)
+        hi = prediction + w
+        xs = [lo + (hi - lo) * i / 24 for i in range(25)]
+        vals = kernel(np.array(xs))[0].tolist()
+        candidates = [
+            (abs(0.5 * (xs[i] + xs[i + 1]) - prediction), xs[i], xs[i + 1])
+            for i in range(24)
+            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0
+        ]
+        if candidates:
+            _, lo_c, hi_c = min(candidates)
+            return (lo_c, hi_c), expansions, len(candidates), lo == 1e-10
+        w *= math.sqrt(2.0)
+    return None, 4, 0, lo == 1e-10
+
+
+def _window_cases(cfg, eps):
+    """(prediction, half_width) pairs placed around the roots below 60."""
+    roots = [p.lam for p in scan_roots(cfg, eps, 60.0)]
+    cases = [(0.5 * roots[0], roots[0])] if roots else [(3.0, 5.0)]
+    for r in roots:
+        cases += [(r + 0.01, 0.05), (r - 0.3, 0.7), (r * 1.02, 0.25 * r)]
+    for r1, r2 in zip(roots, roots[1:]):
+        gap = r2 - r1
+        mid = 0.5 * (r1 + r2)
+        cases += [(mid, 0.6 * gap), (mid, 0.2 * gap), (r1 + 0.3 * gap, 0.75 * gap)]
+    return cases
+
+
+@pytest.mark.parametrize("N", range(2, 6))
+def test_outward_window_picks_the_full_scan_bracket(N, monkeypatch):
+    """Nearest cells first, point by point: the same bracket and root as min()."""
+    calls = []
+
+    def recording_find_root(cfg, epsilon, bracket, **kwargs):
+        calls.append((bracket, kwargs["_known"]))
+        return find_root(cfg, epsilon, bracket, root_tol=kwargs["root_tol"])
+
+    monkeypatch.setattr(branch, "find_root", recording_find_root)
+    seen = {"two sign changes": 0, "expansions": 0, "clipped lo": 0, "no root": 0}
+    for l in range(7):
+        cfg = ProblemConfig(N=N, M=4.0 * math.pi, l=l)
+        for eps in (0.05, 0.4, 0.9):
+            kernel = CharacteristicKernel(cfg, eps)
+            for prediction, half_width in _window_cases(cfg, eps):
+                expected, expansions, changes, clipped = _full_window_bracket(
+                    cfg, eps, prediction, half_width
+                )
+                calls.clear()
+                found = branch._bracketed_root_near(
+                    cfg, eps, prediction, half_width, root_tol=None
+                )
+                where = f"l={l} eps={eps} prediction={prediction} w={half_width}"
+                if expected is None:
+                    assert found is None and not calls, where
+                    seen["no root"] += 1
+                    continue
+                ((bracket, known),) = calls
+                assert bracket == expected, where
+                assert known == (kernel(bracket[0])[0], kernel(bracket[1])[0]), where
+                assert found == find_root(cfg, eps, expected), where
+                seen["two sign changes"] += changes >= 2
+                seen["expansions"] += expansions > 0
+                seen["clipped lo"] += clipped
+    assert all(seen.values()), seen
+
+
+def test_corrector_points_per_root(monkeypatch):
+    """At most 15 lambda points per root, and no scalar point evaluated twice."""
+    sizes = []
+    scalars = set()
+    original = branch.wave_arguments
+
+    def counting(cfg, epsilon, lam, *rest):
+        sizes.append(np.size(lam))
+        if not isinstance(lam, np.ndarray):
+            assert (epsilon, lam) not in scalars
+            scalars.add((epsilon, lam))
+        return original(cfg, epsilon, lam, *rest)
+
+    monkeypatch.setattr(branch, "wave_arguments", counting)
+    table = continue_branch(ProblemConfig(N=2, M=math.pi, l=3), 0.9, 100)
+    assert len(table.points) == 100 and not table.truncated
+    assert sum(sizes) <= 15 * len(table.points)
 
 
 def test_radial_profile_continuity_and_boundary():

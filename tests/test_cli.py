@@ -81,6 +81,22 @@ def test_missing_flag_is_usage_error():
     assert stderr_payload(proc)["code"] == 2
 
 
+@pytest.mark.parametrize(
+    "which",
+    [["--l", "1", "--l-max", "4"], []],
+    ids=["both", "neither"],
+)
+def test_spectrum_takes_exactly_one_of_l_and_l_max(which):
+    args = ["spectrum", "--N", "2", "--M", "pi", *which]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "--l-max" in payload["message"]
+    assert payload["context"] == {"command": "spectrum", "argv": args}
+
+
 def test_bad_mass_literal_is_usage_error():
     proc = run_cli("spectrum", "--N", "2", "--M", "quux", "--l", "1")
     assert proc.returncode == 2

@@ -152,3 +152,15 @@ def test_wave_arguments_require_positive_lambda():
     cfg = ProblemConfig(N=2, M=math.pi, l=1)
     with pytest.raises(ValueError):
         wave_arguments(cfg, 0.25, 0.0)
+
+
+def test_wave_arguments_with_precomputed_density():
+    cfg = ProblemConfig(N=3, M=4.0 * math.pi, l=2)
+    lam = np.array([0.5, 3.0, 40.0])
+    params = density_params(cfg, 0.25)
+    for given, plain in zip(
+        wave_arguments(cfg, 0.25, lam, params), wave_arguments(cfg, 0.25, lam)
+    ):
+        assert given.tobytes() == plain.tobytes()
+    with pytest.raises(ValueError, match="eps=0.25, not eps=0.3"):
+        wave_arguments(cfg, 0.3, 3.0, params)
