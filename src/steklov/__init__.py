@@ -16,7 +16,6 @@ from .bessel import (
     bessel,
     bessel_deriv,
     derivatives_up_to,
-    ratio_expansion_r3,
 )
 from .branch import (
     DEFAULT_ROOT_TOL,
@@ -25,7 +24,6 @@ from .branch import (
     CharacteristicKernel,
     RadialProfile,
     anchor_eigenvalue,
-    characteristic,
     characteristic_1d,
     continue_branch,
     find_root,
@@ -48,13 +46,11 @@ from .crossprod import (
     derivative,
     direct_cross_product,
     evaluate,
-    form_to_json,
     recursive_form,
 )
 from .errors import (
     BracketError,
     IterationLimitError,
-    StepSizeUnderflowError,
     UnsupportedOrderError,
 )
 from .model import DensityParams, ProblemConfig, density_params, unit_ball_volume, wave_arguments
@@ -80,12 +76,10 @@ __all__ = [
     "RadialProfile",
     "ShootingResult",
     "SteklovEigenvalue",
-    "StepSizeUnderflowError",
     "UnsupportedOrderError",
     "anchor_eigenvalue",
     "bessel",
     "bessel_deriv",
-    "characteristic",
     "characteristic_1d",
     "closed_form",
     "continue_branch",
@@ -96,10 +90,8 @@ __all__ = [
     "eigenvalue_by_shooting",
     "evaluate",
     "find_root",
-    "form_to_json",
     "multiplicity",
     "radial_profile",
-    "ratio_expansion_r3",
     "recursive_form",
     "remainder_scaling",
     "scan_roots",

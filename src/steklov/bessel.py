@@ -8,15 +8,10 @@ differentiating Bessel's equation
     z^2 y'' + z y' + (z^2 - nu^2) y = 0,
 
 which yields the stable upward recurrence used in ``bessel_deriv``.
-``ratio_expansion_r3`` isolates the fifth-order remainder of the
-small-argument expansion J_nu(z)/J_nu'(z) = z/nu + z^3/(2 nu^2 (1+nu)) + R3,
-with the leading cancellations performed analytically so the result is
-meaningful even when R3 is ~1e-16.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +25,6 @@ __all__ = [
     "bessel",
     "bessel_deriv",
     "derivatives_up_to",
-    "ratio_expansion_r3",
     "MAX_DERIV_ORDER",
 ]
 
@@ -134,45 +128,3 @@ def derivatives_up_to(kind: BesselKind, nu: float, z: float, k: int) -> BesselEv
         ds.append(-acc / zz)
     return BesselEval(kind, nu, z, y0, tuple(ds[1:]))
 
-
-def _r3_by_series(nu: float, z: float) -> float:
-    # J(z) - J'(z) * (z/nu + z^3 c) expanded with the ascending series
-    # a_{2j} = (-1)^j / (j! Gamma(j+nu+1) 2^(2j+nu)); the z^nu and z^(nu+2)
-    # coefficients cancel identically, leaving a series starting at z^(nu+4)
-    c = 1.0 / (2.0 * nu * nu * (1.0 + nu))
-    a_prev = 1.0 / (2.0**nu * math.gamma(nu + 1.0))  # a_0
-    a = a_prev * (-1.0 / (4.0 * (1.0 + nu)))  # a_2
-    num = 0.0
-    zsq = z * z
-    zpow = z**nu * zsq * zsq
-    for j in range(2, 60):
-        a_next = a * (-1.0 / (4.0 * j * (j + nu)))  # a_{2j}
-        term = (-2.0 * j * a_next / nu - c * (nu + 2.0 * j - 2.0) * a) * zpow
-        num += term
-        if abs(term) <= 1e-18 * abs(num):
-            break
-        a = a_next
-        zpow *= zsq
-    return num / float(_sp.jvp(nu, z))
-
-
-def ratio_expansion_r3(nu: float, z: float) -> float:
-    """Remainder R3(z) = J_nu(z)/J_nu'(z) - z/nu - z^3/(2 nu^2 (1+nu)).
-
-    Defined for nu > 0 on (0, z0) with z0 below the first zero of J_nu'
-    (the ratio blows up there); decays like z^5. Small arguments take a
-    rearranged series with the leading cancellation done exactly, larger
-    ones evaluate the definition directly.
-    """
-    if not nu > 0:
-        raise ValueError("expansion divides by nu; order must be positive")
-    _validate(nu, z)
-    jp = float(_sp.jvp(nu, z))
-    if jp <= 0.0:
-        raise ValueError(
-            f"z={z} is not below the first critical point of J_{nu}' "
-            "(the expansion is only valid there)"
-        )
-    if z <= 0.8:
-        return _r3_by_series(nu, z)
-    return float(_sp.jv(nu, z)) / jp - z / nu - z**3 / (2.0 * nu * nu * (1.0 + nu))

@@ -31,7 +31,7 @@ from scipy import special as _sp
 
 from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig, density_params, wave_arguments
-from .spectrum import SteklovEigenvalue, slope_at_zero, steklov_eigenvalue
+from .spectrum import SteklovEigenvalue, steklov_eigenvalue
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
@@ -39,7 +39,6 @@ __all__ = [
     "BranchTable",
     "RadialProfile",
     "CharacteristicKernel",
-    "characteristic",
     "characteristic_1d",
     "truncated_characteristic",
     "slope_from_truncated",
@@ -159,7 +158,7 @@ class CharacteristicKernel:
 
     def interface(self, lam) -> _Interface:
         """Wave arguments and Bessel values of one evaluation at lambda."""
-        a, b = wave_arguments(self.cfg, self.epsilon, lam, self._density)
+        a, b = wave_arguments(self._density, lam)
         c = b / (1.0 - self.epsilon)
         nu = self._nu
         if self._mp:
@@ -219,14 +218,13 @@ class CharacteristicKernel:
         return self.evaluate(self.interface(lam))
 
 
-def characteristic(cfg: ProblemConfig, epsilon: float, lam: float) -> float:
-    """F(lambda, eps) whose zeros are the nonzero Neumann eigenvalues."""
-    return CharacteristicKernel(cfg, epsilon)(lam)[0]
+def characteristic_1d(M: float, epsilon: float, lam: float) -> tuple[float, float]:
+    """The interval analogue: mass M on (-1, 1), density eps in the bulk.
 
-
-def _characteristic_1d_terms(
-    M: float, epsilon: float, lam: float
-) -> tuple[float, float]:
+    Returns (F, scale) like CharacteristicKernel. Roots give the nonzero
+    Neumann eigenvalues; the branch anchored at lambda_1 = 2/M survives the
+    eps -> 0 limit, all higher ones diverge.
+    """
     if not M > 0:
         raise ValueError(f"mass must be positive, got {M}")
     if not 0.0 < epsilon < 1.0:
@@ -250,15 +248,6 @@ def _characteristic_1d_terms(
         1e-300,
     )
     return t1 + t2, scale
-
-
-def characteristic_1d(M: float, epsilon: float, lam: float) -> float:
-    """The interval analogue: mass M on (-1, 1), density eps in the bulk.
-
-    Roots give the nonzero Neumann eigenvalues; the branch anchored at
-    lambda_1 = 2/M survives the eps -> 0 limit, all higher ones diverge.
-    """
-    return _characteristic_1d_terms(M, epsilon, lam)[0]
 
 
 def _truncated_coefficients(cfg: ProblemConfig, lam, num=float):
@@ -364,9 +353,9 @@ def _char_fn(cfg: ProblemConfig, epsilon: float) -> Callable:
     def fn(lam):
         if isinstance(lam, np.ndarray):
             # elementwise through the float path, so batches match it bitwise
-            pairs = [_characteristic_1d_terms(cfg.M, epsilon, x) for x in lam.tolist()]
+            pairs = [characteristic_1d(cfg.M, epsilon, x) for x in lam.tolist()]
             return tuple(np.array(col) for col in zip(*pairs))
-        return _characteristic_1d_terms(cfg.M, epsilon, lam)
+        return characteristic_1d(cfg.M, epsilon, lam)
 
     return fn
 

@@ -56,6 +56,8 @@ def parse_mass(text: str) -> float:
     if m:
         coeff = float(m.group(1)) if m.group(1) else 1.0
         div = float(m.group(2)) if m.group(2) else 1.0
+        if div == 0.0:
+            raise UsageError(f"mass {text!r} divides by zero")
         return coeff * math.pi / div
     try:
         return float(s)
@@ -261,7 +263,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if not (0.0 < lo < hi < 1.0):
         raise UsageError(f"eps range must sit strictly inside (0, 1), got {lo}..{hi}")
     n = args.steps
-    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)] if n > 1 else [lo]
+    if n < 2:
+        raise UsageError(f"--steps must be >= 2 to span the eps range, got {n}")
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     results = [
         _trace_figure_l(
             ProblemConfig(N=args.N, M=args.M, l=l), grid, args.lam_max, args.root_tol
@@ -387,6 +391,8 @@ def _cmd_verify_remainder(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
     anchor = _branch.anchor_eigenvalue(cfg)
     n = args.points
+    if n < 2:
+        raise UsageError(f"--points must be >= 2 for the log-log fit, got {n}")
     grid = [10.0 ** (-5.0 + 3.0 * i / (n - 1)) for i in range(n)]
     data = _branch.remainder_scaling(cfg, anchor.value, grid)
     xs = [math.log(e) for e, _ in data]

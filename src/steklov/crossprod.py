@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .bessel import BesselKind, bessel_deriv, derivatives_up_to
+from .bessel import BesselKind, derivatives_up_to
 
 __all__ = [
     "Family",
@@ -36,7 +36,6 @@ __all__ = [
     "evaluate",
     "derivative",
     "direct_cross_product",
-    "form_to_json",
     "MAX_CROSS_ORDER",
 ]
 
@@ -304,22 +303,3 @@ def closed_form(kind: CrossKind, nu: float) -> LaurentForm:
     nu_exact = nu if isinstance(nu, Fraction) else Fraction(nu)
     return _specialize(constant, tail, nu_exact)
 
-
-def form_to_json(kind: CrossKind, nu: float, form: LaurentForm) -> dict:
-    """JSON-friendly dump: {"k", "family", "nu", "c0", "terms"}."""
-
-    def _num(c: Coeff) -> float | int:
-        if isinstance(c, Fraction):
-            return int(c) if c.denominator == 1 else float(c)
-        return c
-
-    return {
-        "k": kind.k,
-        "family": kind.family.value,
-        "nu": float(nu),
-        "c0": form.constant_term,
-        "terms": [
-            {"m": m, "c": _num(c)}
-            for m, c in sorted(form.inverse_power_coeffs.items())
-        ],
-    }

@@ -6,7 +6,6 @@ __all__ = [
     "BracketError",
     "IterationLimitError",
     "UnsupportedOrderError",
-    "StepSizeUnderflowError",
 ]
 
 
@@ -25,6 +24,3 @@ class IterationLimitError(RuntimeError):
 class UnsupportedOrderError(ValueError):
     """Requested derivative order above the supported cap."""
 
-
-class StepSizeUnderflowError(RuntimeError):
-    """Integrator step collapsed below floating-point resolution."""

@@ -60,7 +60,7 @@ def unit_ball_volume(N: int) -> float:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Dimension N >= 1, total mass M > 0 and angular index l >= 0."""
+    """Dimension N >= 1, finite total mass M > 0 and angular index l >= 0."""
 
     N: int
     M: float
@@ -69,8 +69,8 @@ class ProblemConfig:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"dimension must be >= 1, got {self.N}")
-        if not self.M > 0:
-            raise ValueError(f"mass must be positive, got {self.M}")
+        if not 0 < self.M < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.M}")
         if self.l < 0:
             raise ValueError(f"angular index must be >= 0, got {self.l}")
 
@@ -136,36 +136,24 @@ def density_params(cfg: ProblemConfig, epsilon: float) -> DensityParams:
     )
 
 
-def wave_arguments(
-    cfg: ProblemConfig, epsilon, lam, _density: DensityParams | None = None
-):
-    """Bessel arguments at the interface radius 1-eps.
+def wave_arguments(density: DensityParams, lam):
+    """Bessel arguments at the interface radius 1-eps, eps = density.epsilon.
 
     a = sqrt(lam*eps)*(1-eps) for the inner solution and
     b = sqrt(lam*rho_annulus)*(1-eps) for the annulus solution.
     The characteristic equation is formulated for nonzero eigenvalues only,
     so lam must be positive. lam may be a float, an ndarray of floats (a
-    and b are then arrays of the same shape) or, together with epsilon, an
-    mpmath mpf (a and b are then computed at the working precision).
-    _density, passed by the characteristic kernel, which evaluates many
-    lambdas at one (cfg, eps), is density_params(cfg, epsilon) computed
-    once; building it on every call would cost about a tenth of a scalar
-    kernel call.
+    and b are then arrays of the same shape) or, for a density built at an
+    mpmath mpf eps, an mpf (a and b are then computed at the working
+    precision).
     """
     positive = lam > 0
     if not (positive.all() if isinstance(positive, np.ndarray) else positive):
         raise ValueError(f"lambda must be positive, got {lam}")
-    if _density is None:
-        params = density_params(cfg, epsilon)
-    elif _density.epsilon == epsilon:
-        params = _density
-    else:
-        raise ValueError(
-            f"density is for eps={_density.epsilon}, not eps={epsilon}"
-        )
+    epsilon = density.epsilon
     # np.sqrt covers ndarrays and defers to mpf.sqrt; math.sqrt keeps
     # float results plain floats (both round the square root correctly)
     sqrt = math.sqrt if isinstance(lam, (int, float)) else np.sqrt
     a = sqrt(lam * epsilon) * (1.0 - epsilon)
-    b = sqrt(lam * params.rho_annulus) * (1.0 - epsilon)
+    b = sqrt(lam * density.rho_annulus) * (1.0 - epsilon)
     return a, b

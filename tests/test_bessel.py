@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +16,6 @@ from steklov.bessel import (
     bessel,
     bessel_deriv,
     derivatives_up_to,
-    ratio_expansion_r3,
 )
 from steklov.errors import UnsupportedOrderError
 
@@ -189,33 +187,3 @@ def test_unsupported_derivative_order(k):
         with pytest.raises(UnsupportedOrderError):
             bessel_deriv(BesselKind.J, 1.0, 2.0, k)
 
-
-def test_ratio_remainder_decays_like_fifth_power():
-    """log-log slope of |R3| over two decades of small z is 5."""
-    nu = 1.5
-    zs = np.logspace(-3.0, -1.0, 9)
-    values = np.array([abs(ratio_expansion_r3(nu, z)) for z in zs])
-    slope = np.polyfit(np.log(zs), np.log(values), 1)[0]
-    assert abs(slope - 5.0) <= 0.1
-
-
-def test_ratio_remainder_series_and_direct_branches_agree():
-    """Either side of the internal switch the two evaluations coincide."""
-    nu = 1.0
-    for z in (0.5, 0.79, 0.81):
-        r3 = ratio_expansion_r3(nu, z)
-        j = bessel(BesselKind.J, nu, z)
-        jp = bessel_deriv(BesselKind.J, nu, z, 1)
-        direct = j / jp - z / nu - z**3 / (2.0 * nu * nu * (1.0 + nu))
-        assert r3 == pytest.approx(direct, rel=1e-9, abs=1e-16)
-
-
-def test_ratio_remainder_refuses_zero_order():
-    with pytest.raises(ValueError, match="nu"):
-        ratio_expansion_r3(0.0, 0.5)
-
-
-def test_ratio_remainder_refuses_beyond_first_critical_point():
-    # First zero of J_1' is at z ~ 1.8412; the ratio is not defined past it.
-    with pytest.raises(ValueError, match="critical"):
-        ratio_expansion_r3(1.0, 2.5)

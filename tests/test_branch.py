@@ -16,7 +16,6 @@ from steklov.branch import (
     BranchPoint,
     CharacteristicKernel,
     anchor_eigenvalue,
-    characteristic,
     characteristic_1d,
     continue_branch,
     find_root,
@@ -65,14 +64,15 @@ def test_frozen_root_ball_small_eps():
 
 
 def test_characteristic_signs_around_root():
-    assert characteristic(CFG_DISC, 0.01, 1.9) * characteristic(CFG_DISC, 0.01, 2.2) < 0
+    kernel = CharacteristicKernel(CFG_DISC, 0.01)
+    assert kernel(1.9)[0] * kernel(2.2)[0] < 0
 
 
 def test_characteristic_validates_input():
     with pytest.raises(ValueError):
-        characteristic(CFG_DISC, 0.01, 0.0)
+        CharacteristicKernel(CFG_DISC, 0.01)(0.0)
     with pytest.raises(ValueError):
-        characteristic(ProblemConfig(N=1, M=2.0, l=1), 0.01, 1.0)
+        CharacteristicKernel(ProblemConfig(N=1, M=2.0, l=1), 0.01)
     with pytest.raises(ValueError):
         characteristic_1d(2.0, 1.5, 1.0)
     with pytest.raises(ValueError):
@@ -302,7 +302,7 @@ def test_one_dimensional_branch_values():
     table = continue_branch(cfg, 0.01, 2)
     pt = table.points[-1]
     assert pt.lam == pytest.approx(1.013417888937936, rel=1e-10)
-    assert abs(characteristic_1d(2.0, pt.epsilon, pt.lam)) < 1e-12
+    assert abs(characteristic_1d(2.0, pt.epsilon, pt.lam)[0]) < 1e-12
 
 
 def test_slope_estimate_difference_quotients():
@@ -430,12 +430,12 @@ def test_corrector_points_per_root(monkeypatch):
     scalars = set()
     original = branch.wave_arguments
 
-    def counting(cfg, epsilon, lam, *rest):
+    def counting(density, lam):
         sizes.append(np.size(lam))
         if not isinstance(lam, np.ndarray):
-            assert (epsilon, lam) not in scalars
-            scalars.add((epsilon, lam))
-        return original(cfg, epsilon, lam, *rest)
+            assert (density.epsilon, lam) not in scalars
+            scalars.add((density.epsilon, lam))
+        return original(density, lam)
 
     monkeypatch.setattr(branch, "wave_arguments", counting)
     table = continue_branch(ProblemConfig(N=2, M=math.pi, l=3), 0.9, 100)

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from steklov.cli import UsageError, parse_mass
+
 _BASE = [sys.executable, "-m", "steklov.cli"]
 
 
@@ -103,6 +105,33 @@ def test_bad_mass_literal_is_usage_error():
     payload = stderr_payload(proc)
     assert payload["code"] == 2
     assert "quux" in payload["message"] or "quux" in str(payload["context"])
+
+
+def test_mass_divided_by_zero_is_usage_error():
+    proc = run_cli("spectrum", "--N", "2", "--M", "pi/0", "--l", "1")
+    assert proc.returncode == 2
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "pi/0" in payload["message"]
+    with pytest.raises(UsageError, match="divides by zero"):
+        parse_mass("4*pi/0")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--N", "2", "--M", "inf", "--l-max", "2"),
+        ("spectrum", "--N", "2", "--M", "1e309", "--l-max", "2"),
+        ("branch", "--N", "2", "--M", "inf", "--l", "1", "--eps-max", "0.5"),
+    ],
+)
+def test_infinite_mass_is_usage_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "mass must be finite" in payload["message"]
+    assert proc.stdout == ""
 
 
 def test_domain_violation_is_usage_error():
@@ -278,6 +307,19 @@ def test_figure_rejects_workers_flag(tmp_path):
     assert not (tmp_path / "fig").exists()
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-3"])
+def test_figure_rejects_fewer_than_two_steps(tmp_path, steps):
+    proc = run_cli(
+        "figure", "--N", "2", "--M", "pi", "--l", "1", "--eps", "0.1..0.5",
+        "--steps", steps, "--out", str(tmp_path / "fig"),
+    )
+    assert proc.returncode == 2
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "--steps must be >= 2" in payload["message"]
+    assert not (tmp_path / "fig").exists()
+
+
 def test_figure_requires_output_directory():
     proc = run_cli(
         "figure", "--N", "2", "--M", "pi", "--l", "1..2", "--eps", "0.1..0.3"
@@ -316,6 +358,18 @@ def test_verify_remainder_gate():
     assert payload["fitted_slope"] >= payload["gate"] == 1.4
     assert payload["pass"] is True
     assert len(payload["points"]) == 5
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_verify_remainder_rejects_fewer_than_two_points(points):
+    proc = run_cli(
+        "verify-remainder", "--N", "2", "--M", "pi", "--l", "1", "--points", points
+    )
+    assert proc.returncode == 2
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "--points must be >= 2" in payload["message"]
+    assert proc.stdout == ""
 
 
 def test_oracle_compare_single_eps():

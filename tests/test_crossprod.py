@@ -16,7 +16,6 @@ from steklov.crossprod import (
     derivative,
     direct_cross_product,
     evaluate,
-    form_to_json,
     recursive_form,
 )
 
@@ -166,27 +165,6 @@ def test_derivative_of_constant_is_zero_form():
     dform = derivative(LaurentForm(-1))
     assert dform.constant_term == 0
     assert dict(dform.inverse_power_coeffs) == {}
-
-
-def test_form_to_json_shape():
-    kind = CrossKind(Family.PLAIN, 3)
-    nu = 1.5
-    payload = form_to_json(kind, nu, closed_form(kind, nu))
-    assert set(payload) == {"k", "family", "nu", "c0", "terms"}
-    assert payload["k"] == 3
-    assert payload["family"] == "plain"
-    assert payload["nu"] == 1.5
-    assert isinstance(payload["c0"], int)
-    for term in payload["terms"]:
-        assert set(term) == {"m", "c"}
-        assert isinstance(term["m"], int)
-        assert isinstance(term["c"], (int, float))
-
-
-def test_form_to_json_keeps_integers_integral():
-    kind = CrossKind(Family.PLAIN, 4)
-    payload = form_to_json(kind, 1.0, closed_form(kind, 1.0))
-    assert all(isinstance(term["c"], int) for term in payload["terms"])
 
 
 def test_half_integer_orders_stay_rational():

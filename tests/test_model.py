@@ -51,6 +51,7 @@ def test_sphere_measure_and_boundary_density():
         {"N": 2, "M": 0.0, "l": 0},
         {"N": 2, "M": -1.0, "l": 0},
         {"N": 2, "M": 1.0, "l": -1},
+        {"N": 2, "M": math.inf, "l": 0},
     ],
 )
 def test_config_validation(kwargs):
@@ -142,25 +143,14 @@ def test_wave_arguments_closed_form():
     cfg = ProblemConfig(N=2, M=math.pi, l=1)
     epsilon, lam = 0.25, 3.0
     params = density_params(cfg, epsilon)
-    a, b = wave_arguments(cfg, epsilon, lam)
+    a, b = wave_arguments(params, lam)
     assert a == pytest.approx(math.sqrt(lam * epsilon) * (1 - epsilon), rel=1e-15)
     assert b == pytest.approx(math.sqrt(lam * params.rho_annulus) * (1 - epsilon), rel=1e-15)
     assert b > a
 
 
 def test_wave_arguments_require_positive_lambda():
-    cfg = ProblemConfig(N=2, M=math.pi, l=1)
+    params = density_params(ProblemConfig(N=2, M=math.pi, l=1), 0.25)
     with pytest.raises(ValueError):
-        wave_arguments(cfg, 0.25, 0.0)
+        wave_arguments(params, 0.0)
 
-
-def test_wave_arguments_with_precomputed_density():
-    cfg = ProblemConfig(N=3, M=4.0 * math.pi, l=2)
-    lam = np.array([0.5, 3.0, 40.0])
-    params = density_params(cfg, 0.25)
-    for given, plain in zip(
-        wave_arguments(cfg, 0.25, lam, params), wave_arguments(cfg, 0.25, lam)
-    ):
-        assert given.tobytes() == plain.tobytes()
-    with pytest.raises(ValueError, match="eps=0.25, not eps=0.3"):
-        wave_arguments(cfg, 0.3, 3.0, params)

@@ -74,11 +74,11 @@ def test_one_dimensional_shooting_matches_characteristic():
     eps = 0.25
     lo, hi = 1.0, 2.0
     # characteristic root by bisection in lambda
-    flo = characteristic_1d(2.0, eps, lo)
-    assert flo * characteristic_1d(2.0, eps, hi) < 0
+    flo = characteristic_1d(2.0, eps, lo)[0]
+    assert flo * characteristic_1d(2.0, eps, hi)[0] < 0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = characteristic_1d(2.0, eps, mid)
+        fm = characteristic_1d(2.0, eps, mid)[0]
         if flo * fm <= 0:
             hi = mid
         else:

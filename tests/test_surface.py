@@ -1,0 +1,66 @@
+"""The public surface: exported names resolve, and the per-layer tracer fits.
+
+perfbench/tracer.py patches module attributes by name (the command table,
+the figure loop, the branch entry points and the wave_arguments call of the
+characteristic kernel). A rename or deletion there breaks ``--trace 1``
+without failing any other test, so this module installs the tracer on the
+current modules.
+"""
+
+from __future__ import annotations
+
+import importlib
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+import steklov
+from steklov.model import ProblemConfig
+
+_MODULES = ("bessel", "branch", "cli", "crossprod", "errors", "model", "shooting", "spectrum")
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"steklov.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, missing
+
+
+def test_package_exports_resolve():
+    missing = [n for n in steklov.__all__ if not hasattr(steklov, n)]
+    assert not missing, missing
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    yield importlib.import_module("tracer")
+    sys.modules.pop("tracer", None)
+
+
+def test_tracer_installs_and_uninstalls(tracer_module):
+    # by module path: the package attribute ``steklov.bessel`` is the function
+    cli, branch, shooting, crossprod, bessel, model = (
+        importlib.import_module(f"steklov.{name}")
+        for name in ("cli", "branch", "shooting", "crossprod", "bessel", "model")
+    )
+    patched = [
+        (cli, "_trace_figure_l"), (cli, "_emit"), (branch, "wave_arguments"),
+        (branch, "find_root"), (branch, "trace_family"), (branch, "scan_roots"),
+    ]
+    originals = [getattr(owner, attr) for owner, attr in patched]
+    commands = dict(cli._COMMANDS)
+    tracer = tracer_module.Tracer(cli, branch, shooting, crossprod, bessel, model)
+    with tracer:
+        assert all(getattr(o, a) is not f for (o, a), f in zip(patched, originals))
+        kernel = branch.CharacteristicKernel(ProblemConfig(N=2, M=math.pi, l=1), 0.1)
+        kernel(2.0)
+    assert [getattr(owner, attr) for owner, attr in patched] == originals
+    assert cli._COMMANDS == commands
+    # one kernel call is one counted wave_arguments call, replayable as kept
+    assert tracer.counts()[("model.wave_arguments", None)] == 1
+    assert tracer.wave_arguments_us(repeats=1) > 0.0
