@@ -28,8 +28,8 @@ __all__ = [
     "MAX_DERIV_ORDER",
 ]
 
-# the caller-facing cap; the branch machinery needs k <= 4, the recursion
-# tests go to 6, and two spare orders are kept as headroom
+# the caller-facing cap, equal to crossprod.MAX_CROSS_ORDER;
+# direct_cross_product reaches k = 6 in verify-crossprod
 MAX_DERIV_ORDER = 8
 
 

@@ -35,6 +35,7 @@ from .spectrum import SteklovEigenvalue, steklov_eigenvalue
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
+    "SCAN_LAM_MIN",
     "BranchPoint",
     "BranchTable",
     "RadialProfile",
@@ -55,16 +56,15 @@ __all__ = [
     "sidecar_metadata",
 ]
 
+# acceptance bound on |F|/scale at a root (find_root, radial_profile)
 DEFAULT_ROOT_TOL = 1e-11
 
 # bracket scan resolution and expansion schedule for the corrector
 _SCAN_POINTS = 25
 _EXPANSIONS = 4
 _MAX_HALVINGS = 10
-
-
-def _root_tol(value: float | None) -> float:
-    return DEFAULT_ROOT_TOL if value is None else float(value)
+# lower end of scan_roots' lambda grid; a figure window must reach above it
+SCAN_LAM_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class BranchPoint:
     """One converged root (eps, lambda) of the characteristic equation.
 
     residual is |F| divided by the magnitude of F's largest constituent
-    term, i.e. directly comparable against root_tol. The analytic l = 0
-    principal branch carries lambda = 0 with residual 0.
+    term, i.e. directly comparable against DEFAULT_ROOT_TOL. The analytic
+    l = 0 principal branch carries lambda = 0 with residual 0.
     """
 
     epsilon: float
@@ -308,26 +308,23 @@ def slope_at_zero_1d(M: float) -> float:
 
 
 def remainder_scaling(
-    cfg: ProblemConfig,
-    lam: float,
-    eps_grid: Sequence[float],
-    *,
-    dps: int = 40,
+    cfg: ProblemConfig, lam: float, eps_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
     """|remainder| of the truncated expansion over an eps grid.
 
     Rescales the full characteristic exactly as the expansion derivation
     does (divide by J_nu'(a), multiply by pi nu (1-eps)/b1 with
     b1 = b sqrt(eps/lambda), divide by eps) and subtracts the truncated
-    polynomial. Evaluated in extended precision: the rescaling amplifies
-    by eps^(-3/2), so float64 would run out of headroom near the bottom
-    of the grid. Grid entries must sit in the asymptotic window (0, 0.2).
+    polynomial. Evaluated at 136 bits (40 significant digits): the
+    rescaling amplifies by eps^(-3/2), so float64 would run out of
+    headroom near the bottom of the grid. Grid entries must sit in the
+    asymptotic window (0, 0.2).
     """
     for e in eps_grid:
         if not 0.0 < e < 0.2:
             raise ValueError(f"eps grid entries must lie in (0, 0.2), got {e}")
     out: list[tuple[float, float]] = []
-    with mp.workdps(dps):
+    with mp.workprec(136):
         lam_mp = mp.mpf(lam)
         c0, c1 = _truncated_coefficients(cfg, lam_mp, mp.mpf)
         for e in eps_grid:
@@ -366,8 +363,8 @@ def _polish_root(
     """Walk neighboring floats to the minimal normalized residual.
 
     The characteristic is steep enough that one ulp of lambda can move
-    |F|/scale by more than root_tol, so the iterate the bracketing solver
-    stops on is not necessarily the best representable root.
+    |F|/scale by more than DEFAULT_ROOT_TOL, so the iterate the bracketing
+    solver stops on is not necessarily the best representable root.
     """
     value, scale = fn(root)
     best_res, best_x = abs(value) / scale, root
@@ -393,21 +390,19 @@ def find_root(
     epsilon: float,
     bracket: tuple[float, float],
     *,
-    root_tol: float | None = None,
     _known: tuple[float, float] | None = None,
 ) -> BranchPoint:
     """Brent's method on the bracketing interval, residual-checked.
 
     The bracket endpoints must produce a sign change; convergence is
-    accepted only when |F| at the root is below root_tol relative to the
-    largest constituent term of F. Each lambda is evaluated at most once
+    accepted only when |F| at the root is below DEFAULT_ROOT_TOL relative to
+    the largest constituent term of F. Each lambda is evaluated at most once
     per call: Brent's points are kept with their scale, so the polish
     does not evaluate again the iterate it starts from or the
     neighbouring floats Brent already tried. _known, passed by the window
     and scan callers in this module, is F at (lo, hi) as the kernel
     returned it there; the ends are then not evaluated again.
     """
-    tol = _root_tol(root_tol)
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
@@ -444,9 +439,9 @@ def find_root(
                 f"root iteration did not converge on [{lo}, {hi}]", best=root
             )
     root, residual = _polish_root(fn, root)
-    if residual > tol:
+    if residual > DEFAULT_ROOT_TOL:
         raise IterationLimitError(
-            f"residual {residual:.3e} above tolerance {tol:.1e} at "
+            f"residual {residual:.3e} above tolerance {DEFAULT_ROOT_TOL:.1e} at "
             f"eps={epsilon}, lambda={root}",
             best=root,
         )
@@ -460,8 +455,6 @@ def _bracketed_root_near(
     epsilon: float,
     prediction: float,
     half_width: float,
-    *,
-    root_tol: float | None,
 ) -> BranchPoint | None:
     """Solve the sign change nearest the prediction in a widening window.
 
@@ -491,8 +484,7 @@ def _bracketed_root_near(
                     vals[j] = fn(xs[j])[0]
             if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
                 return find_root(
-                    cfg, epsilon, (xs[i], xs[i + 1]),
-                    root_tol=root_tol, _known=(vals[i], vals[i + 1]),
+                    cfg, epsilon, (xs[i], xs[i + 1]), _known=(vals[i], vals[i + 1])
                 )
         w *= math.sqrt(2.0)
     return None
@@ -519,9 +511,7 @@ def trace_family(
     eps_values: Sequence[float],
     *,
     slope0: float | None = None,
-    lam_scale: float | None = None,
     lam_max: float | None = None,
-    root_tol: float | None = None,
 ) -> tuple[list[BranchPoint], bool]:
     """Predictor-corrector continuation from a known point.
 
@@ -534,7 +524,7 @@ def trace_family(
     """
     e_prev, lam_prev = start
     slope = 0.0 if slope0 is None else slope0
-    scale = abs(lam_prev) if lam_scale is None else lam_scale
+    scale = abs(lam_prev)
     points: list[BranchPoint] = []
     for e_target in eps_values:
         halvings = 0
@@ -547,9 +537,7 @@ def trace_family(
                 d_eps = e_try - e_prev
                 prediction = lam_prev + slope * d_eps
                 half_width = max(0.25 * scale, 10.0 * abs(slope) * abs(d_eps))
-                found = _bracketed_root_near(
-                    cfg, e_try, prediction, half_width, root_tol=root_tol
-                )
+                found = _bracketed_root_near(cfg, e_try, prediction, half_width)
                 if found is not None:
                     break
                 halvings += 1
@@ -572,7 +560,6 @@ def continue_branch(
     eps_max: float,
     steps: int,
     *,
-    root_tol: float | None = None,
     lam_max: float | None = None,
 ) -> BranchTable:
     """Trace the anchored branch over the uniform grid (eps0, eps_max].
@@ -598,9 +585,7 @@ def continue_branch(
         start=(0.0, anchor.value),
         eps_values=grid,
         slope0=anchor.slope,
-        lam_scale=anchor.value,
         lam_max=lam_max,
-        root_tol=root_tol,
     )
     return BranchTable(
         cfg=cfg, points=tuple(points), anchor=anchor, truncated=truncated
@@ -613,8 +598,7 @@ def scan_roots(
     lam_max: float,
     *,
     samples: int = 800,
-    lam_min: float = 1e-3,
-    root_tol: float | None = None,
+    lam_min: float = SCAN_LAM_MIN,
 ) -> list[BranchPoint]:
     """All roots of the characteristic in (lam_min, lam_max) at fixed eps.
 
@@ -630,18 +614,14 @@ def scan_roots(
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
             roots.append(
                 find_root(
-                    cfg, epsilon, (xs[i], xs[i + 1]),
-                    root_tol=root_tol, _known=(vals[i], vals[i + 1]),
+                    cfg, epsilon, (xs[i], xs[i + 1]), _known=(vals[i], vals[i + 1])
                 )
             )
     return roots
 
 
 def slope_estimate(
-    cfg: ProblemConfig,
-    eps_list: Sequence[float],
-    *,
-    root_tol: float | None = None,
+    cfg: ProblemConfig, eps_list: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Difference quotients (lambda(eps) - lambda_l)/eps toward the slope.
 
@@ -649,19 +629,18 @@ def slope_estimate(
     quotient always refers to the anchored branch.
     """
     anchor = anchor_eigenvalue(cfg)
+    for e in eps_list:
+        if not 0.0 < e <= 0.05:
+            raise ValueError(f"quotients are meaningful for eps in (0, 0.05], got {e}")
     if cfg.N >= 2 and cfg.l == 0:
         return [(float(e), 0.0) for e in eps_list]
     out: list[tuple[float, float]] = []
     for e in eps_list:
-        if not 0.0 < e <= 0.05:
-            raise ValueError(f"quotients are meaningful for eps in (0, 0.05], got {e}")
         points, truncated = trace_family(
             cfg,
             start=(0.0, anchor.value),
             eps_values=[e],
             slope0=anchor.slope,
-            lam_scale=anchor.value,
-            root_tol=root_tol,
         )
         if truncated or not points:
             raise BracketError(f"branch lost on the way to eps={e}")
@@ -734,19 +713,14 @@ class RadialProfile:
         return p * r ** (p - 1.0) * combo + r**p * k * combo_p
 
 
-def radial_profile(
-    cfg: ProblemConfig,
-    point: BranchPoint,
-    *,
-    root_tol: float | None = None,
-) -> RadialProfile:
+def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
     """Assemble the radial eigenfunction at a converged branch point."""
     if cfg.N < 2:
         raise ValueError("radial profiles implemented for N >= 2")
-    tol = _root_tol(root_tol)
-    if point.residual > tol:
+    if point.residual > DEFAULT_ROOT_TOL:
         raise ValueError(
-            f"branch point not converged: residual {point.residual:.3e} > {tol:.1e}"
+            f"branch point not converged: residual {point.residual:.3e} "
+            f"> {DEFAULT_ROOT_TOL:.1e}"
         )
     at = CharacteristicKernel(cfg, point.epsilon).interface(point.lam)
     ratio = (at.a / at.b) * at.jpa

@@ -6,9 +6,7 @@ verification suites (cross-product identities, remainder scaling, the
 Bessel-vs-shooting oracle comparison, eigenfunction matching).
 
 Each handler reads the parsed argparse namespace. `spectrum` and `slope`
-take --format csv|json; the root-finding commands (branch, slope, figure,
-oracle-compare, eigenfunction) take --root-tol, which falls back to the
-STEKLOV_ROOT_TOL environment variable.
+take --format csv|json.
 
 Exit codes: 0 on success, 2 for flag or domain errors, 3 for numerical
 failures (lost brackets, gate violations). Failures emit one JSON object
@@ -57,12 +55,12 @@ def parse_mass(text: str) -> float:
         coeff = float(m.group(1)) if m.group(1) else 1.0
         div = float(m.group(2)) if m.group(2) else 1.0
         if div == 0.0:
-            raise UsageError(f"mass {text!r} divides by zero")
+            raise argparse.ArgumentTypeError(f"mass {text!r} divides by zero")
         return coeff * math.pi / div
     try:
         return float(s)
     except ValueError:
-        raise UsageError(f"cannot parse mass {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse mass {text!r}") from None
 
 
 def _parse_float_range(text: str) -> tuple[float, float]:
@@ -145,13 +143,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_branch(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
-    table = _branch.continue_branch(
-        cfg,
-        args.eps_max,
-        args.steps,
-        root_tol=args.root_tol,
-        lam_max=args.lam_max,
-    )
+    table = _branch.continue_branch(cfg, args.eps_max, args.steps, lam_max=args.lam_max)
     if args.out is None:
         rows = [(p.epsilon, p.lam, p.residual) for p in table.points]
         _emit(_csv("epsilon,lambda,residual", rows), None)
@@ -172,7 +164,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
     eps_list = args.eps or [1e-2, 1e-3, 1e-4]
     anchor = _branch.anchor_eigenvalue(cfg)
-    quotients = _branch.slope_estimate(cfg, eps_list, root_tol=args.root_tol)
+    quotients = _branch.slope_estimate(cfg, eps_list)
     rows = [(e, q, anchor.slope) for e, q in quotients]
     if args.fmt == "json":
         payload = {
@@ -186,10 +178,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
 
 
 def _trace_figure_l(
-    cfg: ProblemConfig,
-    grid: list[float],
-    lam_max: float,
-    root_tol: float | None,
+    cfg: ProblemConfig, grid: list[float], lam_max: float
 ) -> list[dict]:
     """All families of one angular index inside the lambda window."""
     families: list[dict] = []
@@ -201,9 +190,7 @@ def _trace_figure_l(
             start=(0.0, anchor.value),
             eps_values=grid,
             slope0=anchor.slope,
-            lam_scale=anchor.value,
             lam_max=lam_max,
-            root_tol=root_tol,
         )
         if points:
             families.append(
@@ -222,9 +209,7 @@ def _trace_figure_l(
     # families with no eps -> 0 limit: seed at the top of the eps grid
     # and continue downward until they leave the window
     eps_hi = grid[-1]
-    seeds = _branch.scan_roots(
-        cfg, eps_hi, lam_max, samples=800, root_tol=root_tol
-    )
+    seeds = _branch.scan_roots(cfg, eps_hi, lam_max, samples=800)
     down = list(reversed(grid[:-1]))
     idx = 0
     for seed in seeds:
@@ -237,9 +222,7 @@ def _trace_figure_l(
             cfg,
             start=(seed.epsilon, seed.lam),
             eps_values=down,
-            lam_scale=seed.lam,
             lam_max=lam_max,
-            root_tol=root_tol,
         )
         pts = sorted([seed] + traced, key=lambda p: p.epsilon)
         families.append(
@@ -265,11 +248,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     n = args.steps
     if n < 2:
         raise UsageError(f"--steps must be >= 2 to span the eps range, got {n}")
+    floor = _branch.SCAN_LAM_MIN
+    if not args.lam_max > floor:
+        raise UsageError(
+            f"--lambda-max must exceed the root-scan floor {floor}, got {args.lam_max}"
+        )
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     results = [
-        _trace_figure_l(
-            ProblemConfig(N=args.N, M=args.M, l=l), grid, args.lam_max, args.root_tol
-        )
+        _trace_figure_l(ProblemConfig(N=args.N, M=args.M, l=l), grid, args.lam_max)
         for l in range(args.l[0], args.l[1] + 1)
     ]
     os.makedirs(args.out, exist_ok=True)
@@ -302,11 +288,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _point_at(
-    cfg: ProblemConfig, eps: float, root_tol: float | None
-) -> _branch.BranchPoint:
+def _point_at(cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
     steps = max(4, int(math.ceil(eps / 0.05)))
-    table = _branch.continue_branch(cfg, eps, steps, root_tol=root_tol)
+    table = _branch.continue_branch(cfg, eps, steps)
     if table.truncated or not table.points:
         raise BracketError(f"branch lost before eps={eps}")
     return table.points[-1]
@@ -319,7 +303,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     rows = []
     worst = 0.0
     for eps in eps_list:
-        pt = _point_at(cfg, eps, args.root_tol)
+        pt = _point_at(cfg, eps)
         width = max(0.05 * pt.lam, 0.02)
         res = _sh.eigenvalue_by_shooting(
             cfg,
@@ -419,9 +403,11 @@ def _cmd_verify_remainder(args: argparse.Namespace) -> int:
 
 def _cmd_eigenfunction(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
-    pt = _point_at(cfg, args.eps, args.root_tol)
-    prof = _branch.radial_profile(cfg, pt, root_tol=args.root_tol)
     n = args.samples
+    if n < 1:
+        raise UsageError(f"--samples must be >= 1, got {n}")
+    pt = _point_at(cfg, args.eps)
+    prof = _branch.radial_profile(cfg, pt)
     rows = []
     for i in range(1, n + 1):
         r = i / n
@@ -455,9 +441,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="steklov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(
-        p: _Parser, *, cfg: bool = True, fmt: bool = False, roots: bool = False
-    ) -> None:
+    def common(p: _Parser, *, cfg: bool = True, fmt: bool = False) -> None:
         if cfg:
             p.add_argument("--N", type=int, required=True)
             p.add_argument("--M", type=parse_mass, required=True)
@@ -465,8 +449,6 @@ def _build_parser() -> _Parser:
         if fmt:
             p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                            default="csv")
-        if roots:
-            p.add_argument("--root-tol", dest="root_tol", type=float, default=None)
 
     p = sub.add_parser("spectrum", help="Steklov eigenvalues and multiplicities")
     common(p, fmt=True)
@@ -475,19 +457,19 @@ def _build_parser() -> _Parser:
     which.add_argument("--l-max", dest="l_max", type=int, default=None)
 
     p = sub.add_parser("branch", help="trace one eigenvalue branch in eps")
-    common(p, roots=True)
+    common(p)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps-max", dest="eps_max", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--lambda-max", dest="lam_max", type=float, default=None)
 
     p = sub.add_parser("slope", help="difference quotients vs the slope formula")
-    common(p, fmt=True, roots=True)
+    common(p, fmt=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps", type=_parse_float_list, default=None)
 
     p = sub.add_parser("figure", help="multi-family branch data for plotting")
-    common(p, roots=True)
+    common(p)
     p.add_argument("--l", type=_parse_int_range, required=True)
     p.add_argument("--eps", type=_parse_float_range, required=True)
     p.add_argument("--steps", type=int, default=199)
@@ -502,29 +484,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--points", type=int, default=8)
 
     p = sub.add_parser("oracle-compare", help="characteristic roots vs shooting")
-    common(p, roots=True)
+    common(p)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps", type=_parse_float_list, default=None)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=2000)
 
     p = sub.add_parser("eigenfunction", help="radial profile at a branch point")
-    common(p, roots=True)
+    common(p)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, default=512)
 
     return parser
-
-
-def _resolve_root_tol(flag: float | None) -> float | None:
-    """The --root-tol flag wins; otherwise STEKLOV_ROOT_TOL, if set."""
-    env_tol = os.environ.get("STEKLOV_ROOT_TOL")
-    if flag is not None or env_tol is None:
-        return flag
-    try:
-        return float(env_tol)
-    except ValueError:
-        raise UsageError(f"STEKLOV_ROOT_TOL is not a float: {env_tol!r}") from None
 
 
 def _fail(code: int, message: str, context: dict) -> int:
@@ -543,8 +514,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         args = _build_parser().parse_args(argv)
-        if "root_tol" in args:  # only the root-finding commands take it
-            args.root_tol = _resolve_root_tol(args.root_tol)
         return _COMMANDS[args.command](args)
     except (BracketError, IterationLimitError, VerificationFailure) as exc:
         return _fail(3, str(exc), context)

@@ -148,7 +148,13 @@ def wave_arguments(density: DensityParams, lam):
     precision).
     """
     positive = lam > 0
-    if not (positive.all() if isinstance(positive, np.ndarray) else positive):
+    if isinstance(positive, np.ndarray):
+        if not positive.all():
+            raise ValueError(
+                f"lambda must be positive, got {lam[~positive].min()} "
+                f"(smallest offender among {lam.size} values)"
+            )
+    elif not positive:
         raise ValueError(f"lambda must be positive, got {lam}")
     epsilon = density.epsilon
     # np.sqrt covers ndarrays and defers to mpf.sqrt; math.sqrt keeps

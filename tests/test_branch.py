@@ -393,7 +393,7 @@ def test_outward_window_picks_the_full_scan_bracket(N, monkeypatch):
 
     def recording_find_root(cfg, epsilon, bracket, **kwargs):
         calls.append((bracket, kwargs["_known"]))
-        return find_root(cfg, epsilon, bracket, root_tol=kwargs["root_tol"])
+        return find_root(cfg, epsilon, bracket)
 
     monkeypatch.setattr(branch, "find_root", recording_find_root)
     seen = {"two sign changes": 0, "expansions": 0, "clipped lo": 0, "no root": 0}
@@ -406,9 +406,7 @@ def test_outward_window_picks_the_full_scan_bracket(N, monkeypatch):
                     cfg, eps, prediction, half_width
                 )
                 calls.clear()
-                found = branch._bracketed_root_near(
-                    cfg, eps, prediction, half_width, root_tol=None
-                )
+                found = branch._bracketed_root_near(cfg, eps, prediction, half_width)
                 where = f"l={l} eps={eps} prediction={prediction} w={half_width}"
                 if expected is None:
                     assert found is None and not calls, where

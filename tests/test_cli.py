@@ -2,29 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
-import math
-import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from steklov.cli import UsageError, parse_mass
+from steklov import cli
+from steklov.cli import parse_mass
 
 _BASE = [sys.executable, "-m", "steklov.cli"]
 
 
-def run_cli(*args: str, env_extra: dict[str, str] | None = None):
-    env = os.environ.copy()
-    env.pop("STEKLOV_ROOT_TOL", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [*_BASE, *args], capture_output=True, text=True, env=env, timeout=300
-    )
+def run_cli(*args: str):
+    return subprocess.run([*_BASE, *args], capture_output=True, text=True, timeout=300)
 
 
 def parse_csv(text: str) -> list[dict[str, str]]:
@@ -112,8 +106,8 @@ def test_mass_divided_by_zero_is_usage_error():
     assert proc.returncode == 2
     payload = stderr_payload(proc)
     assert payload["code"] == 2
-    assert "pi/0" in payload["message"]
-    with pytest.raises(UsageError, match="divides by zero"):
+    assert "mass 'pi/0' divides by zero" in payload["message"]
+    with pytest.raises(argparse.ArgumentTypeError, match="divides by zero"):
         parse_mass("4*pi/0")
 
 
@@ -139,64 +133,45 @@ def test_domain_violation_is_usage_error():
     assert proc.returncode == 2
 
 
-def test_unreachable_tolerance_is_numerical_failure():
+def test_unreachable_tolerance_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("steklov.branch.DEFAULT_ROOT_TOL", 1e-30)
+    out = tmp_path / "branch.csv"
     argv = [
         "branch",
         "--N", "2", "--M", "pi", "--l", "1",
         "--eps-max", "0.05", "--steps", "2",
-        "--root-tol", "1e-30",
+        "--out", str(out),
     ]
-    proc = run_cli(*argv)
-    assert proc.returncode == 3
-    payload = stderr_payload(proc)
+    assert cli.main(argv) == 3
+    payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == 3
+    assert "above tolerance 1.0e-30" in payload["message"]
     assert payload["context"] == {"command": "branch", "argv": argv}
-
-
-def test_root_tol_environment_variable():
-    env = {"STEKLOV_ROOT_TOL": "1e-30"}
-    proc = run_cli(
-        "branch",
-        "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05", "--steps", "2",
-        env_extra=env,
-    )
-    assert proc.returncode == 3
-    # an explicit flag wins over the environment
-    proc = run_cli(
-        "branch",
-        "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05", "--steps", "2",
-        "--root-tol", "1e-11",
-        env_extra=env,
-    )
-    assert proc.returncode == 0, proc.stderr
+    assert not out.exists()
+    assert not out.with_suffix(".json").exists()
 
 
 @pytest.mark.parametrize(
-    "args, env, code",
+    "args",
     [
         # --format is taken only by spectrum and slope
-        (["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05",
-          "--steps", "2", "--format", "json"], {}, 2),
+        ["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05",
+         "--steps", "2", "--format", "json"],
         # verify-crossprod finds no roots and has a fixed JSON report
-        (["verify-crossprod", "--format", "csv", "--root-tol", "5"], {}, 2),
-        # STEKLOV_ROOT_TOL is read only by the root-finding commands
-        (["spectrum", "--N", "2", "--M", "pi", "--l", "1"],
-         {"STEKLOV_ROOT_TOL": "abc"}, 0),
-        (["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05",
-          "--steps", "2"], {"STEKLOV_ROOT_TOL": "abc"}, 2),
+        ["verify-crossprod", "--format", "csv", "--root-tol", "5"],
+        # the root tolerance is a constant, not a flag
+        ["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05",
+         "--steps", "2", "--root-tol", "1e-11"],
     ],
-    ids=["branch-format", "crossprod-format-root-tol", "spectrum-env", "branch-env"],
+    ids=["branch-format", "crossprod-format-root-tol", "branch-root-tol"],
 )
-def test_flags_only_where_read(args, env, code):
-    proc = run_cli(*args, env_extra=env)
-    assert proc.returncode == code, proc.stderr
-    if code:
-        payload = stderr_payload(proc)
-        assert payload["code"] == code
-        assert payload["context"]["argv"] == args
-    else:
-        (row,) = parse_csv(proc.stdout)
-        assert float(row["lambda"]) == 2.0
+def test_flags_only_where_read(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert payload["context"]["argv"] == args
 
 
 def test_branch_writes_csv_and_sidecar(tmp_path):
@@ -245,6 +220,16 @@ def test_slope_table_headers_and_values():
         formula = float(row["formula"])
         assert formula == pytest.approx(0.8, rel=1e-14)
         assert abs(quotient - formula) <= 5.0 * formula * eps
+
+
+@pytest.mark.parametrize("l", ["0", "1"])
+def test_slope_rejects_eps_outside_the_quotient_range(l):
+    proc = run_cli("slope", "--N", "2", "--M", "pi", "--l", l, "--eps", "0.5")
+    assert proc.returncode == 2
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "eps in (0, 0.05]" in payload["message"]
+    assert proc.stdout == ""
 
 
 def test_figure_outputs_and_determinism(tmp_path):
@@ -320,6 +305,20 @@ def test_figure_rejects_fewer_than_two_steps(tmp_path, steps):
     assert not (tmp_path / "fig").exists()
 
 
+@pytest.mark.parametrize("lam_max", ["-1", "0.001", "nan"])
+def test_figure_rejects_lambda_max_at_the_scan_floor(tmp_path, lam_max):
+    proc = run_cli(
+        "figure", "--N", "2", "--M", "pi", "--l", "1", "--eps", "0.1..0.5",
+        "--steps", "3", "--lambda-max", lam_max, "--out", str(tmp_path / "fig"),
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr) < 2048
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "--lambda-max must exceed the root-scan floor 0.001" in payload["message"]
+    assert not (tmp_path / "fig").exists()
+
+
 def test_figure_requires_output_directory():
     proc = run_cli(
         "figure", "--N", "2", "--M", "pi", "--l", "1..2", "--eps", "0.1..0.3"
@@ -339,6 +338,19 @@ def test_eigenfunction_profile_csv():
     assert float(rows[-1]["r"]) == 1.0
     s_max = max(abs(float(r["S"])) for r in rows)
     assert abs(float(rows[-1]["dS"])) <= 1e-8 * s_max
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_eigenfunction_rejects_fewer_than_one_sample(samples):
+    proc = run_cli(
+        "eigenfunction",
+        "--N", "2", "--M", "pi", "--l", "1", "--eps", "0.2", "--samples", samples,
+    )
+    assert proc.returncode == 2
+    payload = stderr_payload(proc)
+    assert payload["code"] == 2
+    assert "--samples must be >= 1" in payload["message"]
+    assert proc.stdout == ""
 
 
 def test_verify_crossprod_gates():

@@ -153,4 +153,7 @@ def test_wave_arguments_require_positive_lambda():
     params = density_params(ProblemConfig(N=2, M=math.pi, l=1), 0.25)
     with pytest.raises(ValueError):
         wave_arguments(params, 0.0)
+    # an array names its smallest offender and its size, not every entry
+    with pytest.raises(ValueError, match=r"got -1\.0 .* 801 values\)$"):
+        wave_arguments(params, np.linspace(-1.0, 1.0, 801))
 
