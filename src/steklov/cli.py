@@ -63,6 +63,17 @@ def parse_mass(text: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse mass {text!r}") from None
 
 
+def _finite_positive(text: str) -> float:
+    """A float in (0, inf); nan, inf and non-positive values are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _parse_float_range(text: str) -> tuple[float, float]:
     parts = text.split("..")
     if len(parts) != 2:
@@ -461,7 +472,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--eps-max", dest="eps_max", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lambda-max", dest="lam_max", type=float, default=None)
+    p.add_argument("--lambda-max", dest="lam_max", type=_finite_positive, default=None)
 
     p = sub.add_parser("slope", help="difference quotients vs the slope formula")
     common(p, fmt=True)
@@ -473,7 +484,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--l", type=_parse_int_range, required=True)
     p.add_argument("--eps", type=_parse_float_range, required=True)
     p.add_argument("--steps", type=int, default=199)
-    p.add_argument("--lambda-max", dest="lam_max", type=float, default=50.0)
+    p.add_argument("--lambda-max", dest="lam_max", type=_finite_positive, default=50.0)
 
     p = sub.add_parser("verify-crossprod", help="cross-product identity gates")
     common(p, cfg=False)

@@ -16,6 +16,19 @@ drives the local stiffness z = mu h ~ -(l + N - 2) h/r) small and
 constant through the power-law regime, then near-uniform spacing covers
 the oscillatory part, with a forced node at the density interface so no
 step straddles the jump in rho.
+
+The ODE is linear in y = (S, S'), y' = A(r) y with
+A = [[0, 1], [l(l+N-2)/r^2 - lambda rho, -(N-1)/r]], so one RK4 step of
+size h from r is the fixed 2x2 propagator
+
+    T = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
+    K1 = A(r), K2 = A(r+h/2)(I + h/2 K1),
+    K3 = A(r+h/2)(I + h/2 K2), K4 = A(r+h)(I + h K3).
+
+Every step's T is built at once with numpy, and the inclusive prefix
+products T_n ... T_1 come from ceil(log2(steps)) doubling passes. Applied
+to y(r0) they give S at every mesh node, which normalises the mismatch
+and counts the sign changes of the eigenfunction.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import optimize as _opt
 
 from .errors import BracketError
@@ -32,6 +46,8 @@ __all__ = ["ShootingResult", "shoot", "eigenvalue_by_shooting"]
 
 _R0 = 1e-6
 _MIN_GRID = 1000
+# one 2x2 matrix per step: the rows (m00, m01, m10, m11) of a (4, steps) array
+_EYE = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -39,12 +55,14 @@ class ShootingResult:
     """lam is the queried (or converged) eigenvalue candidate.
 
     boundary_mismatch is S'(1) after normalizing max |S| = 1 over the
-    mesh; it vanishes exactly at eigenvalues.
+    mesh; it vanishes exactly at eigenvalues. nodes is the number of sign
+    changes of S over the mesh nodes.
     """
 
     lam: float
     boundary_mismatch: float
     grid_size: int
+    nodes: int
 
 
 def _mesh(epsilon: float, grid_size: int) -> list[tuple[float, float, int]]:
@@ -60,6 +78,47 @@ def _mesh(epsilon: float, grid_size: int) -> list[tuple[float, float, int]]:
     return [(_R0, r_t, n_geo), (r_t, interface, n_bulk), (interface, 1.0, n_ann)]
 
 
+def _steps(
+    epsilon: float, grid_size: int, rho_inner: float, rho_annulus: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start r, size h and density rho of every step on the mesh."""
+    interface = 1.0 - epsilon
+    r, h, rho = [], [], []
+    for seg_start, seg_end, steps in _mesh(epsilon, grid_size):
+        i = np.arange(steps + 1.0)
+        if seg_start == _R0:
+            # geometric nodes r0 * q^i
+            nodes = seg_start * ((seg_end / seg_start) ** (1.0 / steps)) ** i
+        else:
+            nodes = seg_start + (seg_end - seg_start) / steps * i
+        nodes[-1] = seg_end
+        r.append(nodes[:-1])
+        h.append(np.diff(nodes))
+        rho.append(np.full(steps, rho_inner if seg_end <= interface else rho_annulus))
+    return np.concatenate(r), np.concatenate(h), np.concatenate(rho)
+
+
+def _times_a(q: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """A m for each step, with A = [[0, 1], [q, p]]."""
+    return np.concatenate((m[2:], q * m[:2] + p * m[2:]))
+
+
+def _prefix_products(t: np.ndarray) -> np.ndarray:
+    """Overwrite t[:, n] with t[:, n] ... t[:, 0] by recursive doubling."""
+    d = 1
+    while d < t.shape[1]:
+        a00, a01, a10, a11 = t[:, d:]
+        b00, b01, b10, b11 = t[:, :-d]
+        t[0, d:], t[1, d:], t[2, d:], t[3, d:] = (
+            a00 * b00 + a01 * b10,
+            a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10,
+            a10 * b01 + a11 * b11,
+        )
+        d *= 2
+    return t
+
+
 def shoot(
     cfg: ProblemConfig, epsilon: float, lam: float, *, grid_size: int = 2000
 ) -> ShootingResult:
@@ -71,39 +130,27 @@ def shoot(
     params = density_params(cfg, epsilon)
     N, l = cfg.N, cfg.l
     ang = l * (l + N - 2)
-    interface = 1.0 - epsilon
+    r, h, rho = _steps(epsilon, grid_size, params.rho_inner, params.rho_annulus)
+    lam_rho = lam * rho
+    # A = [[0, 1], [q, p]] at the start, middle and end of every step
+    at = (r, r + 0.5 * h, r + h)
+    q0, qm, q1 = (ang / (x * x) - lam_rho for x in at)
+    p0, pm, p1 = (-(N - 1) / x for x in at)
+    k1 = np.stack((np.zeros_like(r), np.ones_like(r), q0, p0))
+    k2 = _times_a(qm, pm, _EYE + 0.5 * h * k1)
+    k3 = _times_a(qm, pm, _EYE + 0.5 * h * k2)
+    k4 = _times_a(q1, p1, _EYE + h * k3)
+    prefix = _prefix_products(_EYE + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
     # S ~ r^l near the origin, scaled so S(r0) = 1
-    s = 1.0
-    ds = l / _R0
-    s_max = abs(s)
-
-    def rhs(r: float, y0: float, y1: float, rho: float) -> tuple[float, float]:
-        return y1, -(N - 1) / r * y1 + (ang / (r * r) - lam * rho) * y0
-
-    for seg_start, seg_end, steps in _mesh(epsilon, grid_size):
-        rho = params.rho_inner if seg_end <= interface else params.rho_annulus
-        if seg_start == _R0:
-            # geometric nodes r0 * q^i
-            q = (seg_end / seg_start) ** (1.0 / steps)
-            nodes = [seg_start * q**i for i in range(steps + 1)]
-        else:
-            h = (seg_end - seg_start) / steps
-            nodes = [seg_start + h * i for i in range(steps + 1)]
-        nodes[-1] = seg_end
-        for i in range(steps):
-            r, h = nodes[i], nodes[i + 1] - nodes[i]
-            k1 = rhs(r, s, ds, rho)
-            k2 = rhs(r + 0.5 * h, s + 0.5 * h * k1[0], ds + 0.5 * h * k1[1], rho)
-            k3 = rhs(r + 0.5 * h, s + 0.5 * h * k2[0], ds + 0.5 * h * k2[1], rho)
-            k4 = rhs(r + h, s + h * k3[0], ds + h * k3[1], rho)
-            s += h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-            ds += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-            if abs(s) > s_max:
-                s_max = abs(s)
-
+    ds0 = l / _R0
+    s = np.concatenate(([1.0], prefix[0] + prefix[1] * ds0))
+    ds = prefix[2, -1] + prefix[3, -1] * ds0
     return ShootingResult(
-        lam=lam, boundary_mismatch=ds / s_max, grid_size=grid_size
+        lam=lam,
+        boundary_mismatch=float(ds / np.max(np.abs(s))),
+        grid_size=grid_size,
+        nodes=int(np.count_nonzero(np.diff(np.signbit(s)))),
     )
 
 
@@ -136,6 +183,4 @@ def eigenvalue_by_shooting(
         root = _opt.brentq(
             mismatch, lo, hi, xtol=tol, rtol=4 * math.ulp(1.0), maxiter=200
         )
-    return ShootingResult(
-        lam=root, boundary_mismatch=mismatch(root), grid_size=grid_size
-    )
+    return shoot(cfg, epsilon, root, grid_size=grid_size)

@@ -39,7 +39,7 @@ CFG_BALL = ProblemConfig(N=3, M=4.0 * math.pi, l=1)
 
 # Regression roots of the characteristic equation, found by bracketed
 # Brent iteration and confirmed by the residual gate and (independently)
-# by the finite-difference shooting solver in test_shooting.py.
+# by the RK4 shooting solver in test_shooting.py.
 ROOT_DISC_001 = 2.0233581771556928
 ROOT_DISC_010 = 2.234651915659871
 ROOT_BALL_005 = 1.039772509360611

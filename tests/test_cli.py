@@ -305,7 +305,7 @@ def test_figure_rejects_fewer_than_two_steps(tmp_path, steps):
     assert not (tmp_path / "fig").exists()
 
 
-@pytest.mark.parametrize("lam_max", ["-1", "0.001", "nan"])
+@pytest.mark.parametrize("lam_max", ["0.0005", "0.001"])
 def test_figure_rejects_lambda_max_at_the_scan_floor(tmp_path, lam_max):
     proc = run_cli(
         "figure", "--N", "2", "--M", "pi", "--l", "1", "--eps", "0.1..0.5",
@@ -317,6 +317,31 @@ def test_figure_rejects_lambda_max_at_the_scan_floor(tmp_path, lam_max):
     assert payload["code"] == 2
     assert "--lambda-max must exceed the root-scan floor 0.001" in payload["message"]
     assert not (tmp_path / "fig").exists()
+
+
+@pytest.mark.parametrize("lam_max", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["branch", "figure"])
+def test_lambda_max_must_be_finite_and_positive(
+    tmp_path, monkeypatch, capsys, command, lam_max
+):
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("traced before --lambda-max was checked")
+
+    monkeypatch.setattr("steklov.branch.continue_branch", no_tracing)
+    monkeypatch.setattr("steklov.branch.trace_family", no_tracing)
+    argv = {
+        "branch": ["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.3",
+                   "--steps", "5", "--out", str(tmp_path / "branch.csv")],
+        "figure": ["figure", "--N", "2", "--M", "pi", "--l", "1", "--eps", "0.1..0.5",
+                   "--steps", "3", "--out", str(tmp_path / "fig")],
+    }[command] + ["--lambda-max", lam_max]
+    assert cli.main(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == 2
+    assert payload["message"] == (
+        f"argument --lambda-max: must be finite and positive, got {lam_max!r}"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_figure_requires_output_directory():

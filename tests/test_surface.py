@@ -1,10 +1,10 @@
 """The public surface: exported names resolve, and the per-layer tracer fits.
 
 perfbench/tracer.py patches module attributes by name (the command table,
-the figure loop, the branch entry points and the wave_arguments call of the
-characteristic kernel). A rename or deletion there breaks ``--trace 1``
-without failing any other test, so this module installs the tracer on the
-current modules.
+the figure loop, the branch and shooting entry points and the wave_arguments
+call of the characteristic kernel). A rename or deletion there breaks
+``--trace 1`` without failing any other test, so this module installs the
+tracer on the current modules.
 """
 
 from __future__ import annotations
@@ -42,12 +42,16 @@ def tracer_module(monkeypatch):
     sys.modules.pop("tracer", None)
 
 
-def test_tracer_installs_and_uninstalls(tracer_module):
+def _traced_modules():
     # by module path: the package attribute ``steklov.bessel`` is the function
-    cli, branch, shooting, crossprod, bessel, model = (
+    return tuple(
         importlib.import_module(f"steklov.{name}")
         for name in ("cli", "branch", "shooting", "crossprod", "bessel", "model")
     )
+
+
+def test_tracer_installs_and_uninstalls(tracer_module):
+    cli, branch, shooting, crossprod, bessel, model = _traced_modules()
     patched = [
         (cli, "_trace_figure_l"), (cli, "_emit"), (branch, "wave_arguments"),
         (branch, "find_root"), (branch, "trace_family"), (branch, "scan_roots"),
@@ -64,3 +68,18 @@ def test_tracer_installs_and_uninstalls(tracer_module):
     # one kernel call is one counted wave_arguments call, replayable as kept
     assert tracer.counts()[("model.wave_arguments", None)] == 1
     assert tracer.wave_arguments_us(repeats=1) > 0.0
+
+
+def test_tracer_prices_shooting_integrations(tracer_module):
+    # shooting.shoot.ms and shoots_per_eigenvalue read these two spans
+    cli, branch, shooting, crossprod, bessel, model = _traced_modules()
+    tracer = tracer_module.Tracer(cli, branch, shooting, crossprod, bessel, model)
+    with tracer:
+        cfg = ProblemConfig(N=2, M=math.pi, l=1)
+        shooting.eigenvalue_by_shooting(cfg, 0.1, (2.0, 2.5))
+    spans = tracer.spans()
+    (outer,) = [s for s in spans if s.name == "shooting.eigenvalue_by_shooting"]
+    assert outer.parent is None
+    shoots = [s for s in spans if s.name == "shooting.shoot"]
+    assert len(shoots) >= 3
+    assert all(s.parent == "shooting.eigenvalue_by_shooting" for s in shoots)
