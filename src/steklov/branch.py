@@ -105,7 +105,7 @@ class _Interface(NamedTuple):
     """Wave arguments and Bessel values behind one evaluation of F.
 
     J_nu and J_nu' at a, b and c = b/(1-eps); Y_nu and Y_nu' at b and c.
-    Fields are floats, ndarrays or mpfs, following the lambda they came from.
+    Fields are floats or ndarrays, following the lambda they came from.
     """
 
     a: Any
@@ -133,15 +133,14 @@ class CharacteristicKernel:
     - a float: floats come back (Brent iteration, the ulp-walk polish);
     - an ndarray: arrays come back, every F bitwise equal to the float
       call's (bracket windows, root scans; the scale may differ in the
-      last bit, math.hypot and np.hypot round on their own);
-    - an mpf, when eps is an mpf too: mpfs at the working precision.
+      last bit, math.hypot and np.hypot round on their own).
 
     The density at eps is computed once, when the kernel is built (so an
-    eps outside (0, 1) fails there). One call evaluates wave_arguments
-    once, J at orders (nu-1, nu) on (a, b, c) and Y at the same orders on
-    (b, c): scipy's jv and yv (AMOS) for float and ndarray lambda, one
-    ufunc call each, or mpmath's besselj and bessely. The derivatives
-    follow from the order nu-1 values by DLMF 10.6.2.
+    eps outside (0, 1) or a non-positive annulus density fails there).
+    One call evaluates wave_arguments once, J at orders (nu-1, nu) on
+    (a, b, c) and Y at the same orders on (b, c), with scipy's jv and yv
+    (AMOS), one ufunc call each. The derivatives follow from the order
+    nu-1 values by DLMF 10.6.2.
     """
 
     def __init__(self, cfg: ProblemConfig, epsilon) -> None:
@@ -151,7 +150,6 @@ class CharacteristicKernel:
         self.epsilon = epsilon
         self._nu = cfg.nu
         self._w1 = 1.0 - cfg.N / 2.0
-        self._mp = isinstance(epsilon, mp.mpf)
         self._density = density_params(cfg, epsilon)
         # orders (nu-1, nu) as a column, broadcast against the arguments
         self._orders = np.array([[self._nu - 1.0], [self._nu]])
@@ -161,11 +159,7 @@ class CharacteristicKernel:
         a, b = wave_arguments(self._density, lam)
         c = b / (1.0 - self.epsilon)
         nu = self._nu
-        if self._mp:
-            orders = (nu - 1.0, nu)
-            J = [[mp.besselj(o, z) for z in (a, b, c)] for o in orders]
-            Y = [[mp.bessely(o, z) for z in (b, c)] for o in orders]
-        elif isinstance(lam, np.ndarray):
+        if isinstance(lam, np.ndarray):
             orders = self._orders[..., None]
             J = _sp.jv(orders, (a, b, c))
             Y = _sp.yv(orders, (b, c))
@@ -189,9 +183,7 @@ class CharacteristicKernel:
         The scale makes residuals meaningful: at a root the weighted summands
         cancel each other, so |F|/scale is the natural convergence measure.
         """
-        if self._mp:
-            hypot, maximum = mp.hypot, max
-        elif isinstance(at.a, np.ndarray):
+        if isinstance(at.a, np.ndarray):
             hypot, maximum = np.hypot, np.maximum
         else:
             hypot, maximum = math.hypot, max
@@ -307,6 +299,96 @@ def slope_at_zero_1d(M: float) -> float:
     return (2.0 / 3.0) * (lam1 + lam1 * lam1)
 
 
+# terms of one Taylor step before remainder_scaling gives up
+_MAX_SERIES_TERMS = 400
+
+
+def _taylor_step(nu, z, h):
+    """(P, Q, P', Q') of one Taylor step of the Bessel equation, z to z + h.
+
+    P and Q are the solutions with (C, C') = (1, 0) and (0, 1) at z,
+    summed as Taylor series in h from the recurrence of the equation
+    about z,
+
+        z^2 (k+1)(k+2) t_{k+2} = -[(2k+1)(k+1) z t_{k+1}
+            + (k^2 + z^2 - nu^2) t_k + 2z t_{k-1} + t_{k-2}],
+
+    run on the terms s_k = t_k h^k, in the working mpmath precision. The
+    equation's only finite singular point is 0, so the series converge
+    for |h| < z. They stop once three consecutive terms of all four sums
+    fall below 2^-(prec+10); IterationLimitError past _MAX_SERIES_TERMS.
+    """
+    tiny = mp.ldexp(1, -(mp.mp.prec + 10))
+    tiny_slope = tiny * abs(h)
+    u = h / z
+    g = h * u
+    # s_{k+2} (k+1)(k+2) = -[(2k+1)(k+1) u s_{k+1} + (k^2 u^2 + h^2 - nu^2 u^2) s_k
+    #                        + 2 h g s_{k-1} + g^2 s_{k-2}]
+    uu = u * u
+    base = h * h - nu * nu * uu
+    c3, c4 = 2 * h * g, g * g
+    zero, one = mp.mpf(0), mp.mpf(1)
+    # (s_{k-2}, s_{k-1}, s_k, s_{k+1}) of each series, at k = 0
+    p2, p1, p0, pn = zero, zero, one, zero
+    q2, q1, q0, qn = zero, zero, zero, h
+    P, Q = one, h
+    # sums of k s_k; P' and Q' are these over h
+    dP, dQ = zero, h
+    quiet = 0
+    for k in range(_MAX_SERIES_TERMS):
+        c1 = (2 * k + 1) * (k + 1) * u
+        c2 = k * k * uu + base
+        den = -(k + 1) * (k + 2)
+        p_next = (c1 * pn + c2 * p0 + c3 * p1 + c4 * p2) / den
+        q_next = (c1 * qn + c2 * q0 + c3 * q1 + c4 * q2) / den
+        P += p_next
+        Q += q_next
+        dP += (k + 2) * p_next
+        dQ += (k + 2) * q_next
+        if (
+            abs(p_next) < tiny
+            and abs(q_next) < tiny
+            and (k + 2) * abs(p_next) < tiny_slope
+            and (k + 2) * abs(q_next) < tiny_slope
+        ):
+            quiet += 1
+            if quiet == 3:
+                return P, Q, dP / h, dQ / h
+        else:
+            quiet = 0
+        p2, p1, p0, pn = p1, p0, pn, p_next
+        q2, q1, q0, qn = q1, q0, qn, q_next
+    raise IterationLimitError(
+        f"propagator series from z={float(z):.6g} over h={float(h):.6g} "
+        f"did not settle in {_MAX_SERIES_TERMS} terms"
+    )
+
+
+def _propagators(nu, b, h):
+    """(P, Q, P', Q') carrying any Bessel solution of order nu from b to b + h.
+
+    C(b+h) = P C(b) + Q C'(b) and C'(b+h) = P' C(b) + Q' C'(b) for every
+    solution C of z^2 C'' + z C' + (z^2 - nu^2) C = 0, 0 < h < b. The
+    terms of a Taylor step grow to about e^(h max(1, nu/z)) before they
+    fall: where the solutions oscillate (z > nu) the sum cancels about
+    1.44 bits per unit of h, and where nu/z is large the terms outlast
+    _MAX_SERIES_TERMS. So the path is cut into equal steps no longer than
+    min(1, b/nu) and their propagators are multiplied. On the grid of
+    verify-remainder (eps <= 1e-2, h near sqrt(l eps), b near sqrt(l/eps))
+    every path below l = 100 is one step.
+    """
+    reach = 1 if nu <= b else b / nu
+    steps = max(1, math.ceil(float(h / reach)))
+    step = h / steps
+    P, Q, dP, dQ = _taylor_step(nu, b, step)
+    for i in range(1, steps):
+        p, q, dp, dq = _taylor_step(nu, b + i * step, step)
+        P, Q, dP, dQ = (
+            p * P + q * dP, p * Q + q * dQ, dp * P + dq * dP, dp * Q + dq * dQ
+        )
+    return P, Q, dP, dQ
+
+
 def remainder_scaling(
     cfg: ProblemConfig, lam: float, eps_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
@@ -319,21 +401,38 @@ def remainder_scaling(
     rescaling amplifies by eps^(-3/2), so float64 would run out of
     headroom near the bottom of the grid. Grid entries must sit in the
     asymptotic window (0, 0.2).
+
+    F needs Y_nu only inside its four cross-products between b and
+    c = b/(1-eps). Writing C(c) = P C(b) + Q C'(b) and
+    C'(c) = P' C(b) + Q' C'(b) (see _propagators), each cross-product is
+    the Wronskian W = J Y' - J' Y = 2/(pi b) (DLMF 10.5.2) times one of
+    P, Q, P', Q', so
+
+        F = W [(1 - N/2)(J_nu(a) P + r Q) + c (J_nu(a) P' + r Q')],
+
+    with r = (a/b) J_nu'(a). The only Bessel evaluations are J at orders
+    nu-1 and nu at the small argument a.
     """
     for e in eps_grid:
         if not 0.0 < e < 0.2:
             raise ValueError(f"eps grid entries must lie in (0, 0.2), got {e}")
     out: list[tuple[float, float]] = []
+    nu, w1 = cfg.nu, 1.0 - cfg.N / 2.0
     with mp.workprec(136):
         lam_mp = mp.mpf(lam)
         c0, c1 = _truncated_coefficients(cfg, lam_mp, mp.mpf)
         for e in eps_grid:
             eps = mp.mpf(e)
-            kernel = CharacteristicKernel(cfg, eps)
-            at = kernel.interface(lam_mp)
-            F, _ = kernel.evaluate(at)
-            b1 = at.b * mp.sqrt(eps / lam_mp)
-            rescaled = F / at.jpa * mp.pi * cfg.nu * (1 - eps) / (eps * b1)
+            a, b = wave_arguments(density_params(cfg, eps), lam_mp)
+            c = b / (1 - eps)
+            ja = mp.besselj(nu, a)
+            jpa = _derivative(mp.besselj(nu - 1.0, a), ja, nu, a)
+            P, Q, dP, dQ = _propagators(nu, b, c - b)
+            ratio = (a / b) * jpa
+            wronskian = 2 / (mp.pi * b)
+            F = wronskian * (w1 * (ja * P + ratio * Q) + c * (ja * dP + ratio * dQ))
+            b1 = b * mp.sqrt(eps / lam_mp)
+            rescaled = F / jpa * mp.pi * nu * (1 - eps) / (eps * b1)
             out.append((float(e), float(abs(rescaled - (c0 + c1 * eps)))))
     return out
 

@@ -77,13 +77,15 @@ def _finite_positive(text: str) -> float:
 def _parse_float_range(text: str) -> tuple[float, float]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise UsageError(f"expected 'lo..hi', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 'lo..hi', got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
-        raise UsageError(f"expected 'lo..hi', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo..hi', got {text!r}"
+        ) from None
     if not lo < hi:
-        raise UsageError(f"range must increase, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must increase, got {text!r}")
     return lo, hi
 
 
@@ -93,24 +95,34 @@ def _parse_int_range(text: str) -> tuple[int, int]:
         try:
             v = int(parts[0])
         except ValueError:
-            raise UsageError(f"expected 'lo..hi' or int, got {text!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"expected 'lo..hi' or int, got {text!r}"
+            ) from None
         return v, v
     if len(parts) != 2:
-        raise UsageError(f"expected 'lo..hi', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 'lo..hi', got {text!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"expected 'lo..hi', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo..hi', got {text!r}"
+        ) from None
     if lo > hi:
-        raise UsageError(f"range must not decrease, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must not decrease, got {text!r}")
     return lo, hi
 
 
 def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated floats, got {text!r}") from None
+    values = []
+    for part in text.split(","):
+        if part.strip():
+            try:
+                values.append(float(part))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"expected comma-separated floats, got {part.strip()!r} in {text!r}"
+                ) from None
+    return values
 
 
 def _emit(text: str, out: str | None) -> None:

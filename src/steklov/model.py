@@ -121,13 +121,22 @@ def density_params(cfg: ProblemConfig, epsilon: float) -> DensityParams:
 
     Closed form only; the defining mass identity
     eps*omega*(1-eps)^N + rho_annulus*omega*(1-(1-eps)^N) = M
-    holds to machine precision by construction.
+    holds to machine precision by construction. The annulus density is
+    positive only while M exceeds the core's mass eps*omega*(1-eps)^N;
+    a mass at or below it is refused.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     w = cfg.omega
     core = _ipow(1.0 - epsilon, cfg.N)
-    rho_ann = (cfg.M - epsilon * w * core) / (w * (1.0 - core))
+    core_mass = epsilon * w * core
+    if not cfg.M > core_mass:
+        raise ValueError(
+            f"mass M={cfg.M} must exceed eps*omega*(1-eps)^N = {float(core_mass)} "
+            f"at eps={float(epsilon)}, N={cfg.N}: the annulus density would not "
+            "be positive"
+        )
+    rho_ann = (cfg.M - core_mass) / (w * (1.0 - core))
     return DensityParams(
         epsilon=epsilon,
         rho_inner=epsilon,

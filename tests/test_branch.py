@@ -8,6 +8,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from steklov import branch
@@ -30,9 +32,14 @@ from steklov.branch import (
     truncated_characteristic,
     write_points_csv,
 )
-from steklov.errors import BracketError
-from steklov.model import ProblemConfig, density_params
-from steklov.spectrum import slope_at_zero
+from steklov.errors import BracketError, IterationLimitError
+from steklov.model import (
+    ProblemConfig,
+    density_params,
+    unit_ball_volume,
+    wave_arguments,
+)
+from steklov.spectrum import slope_at_zero, steklov_eigenvalue
 
 CFG_DISC = ProblemConfig(N=2, M=math.pi, l=1)
 CFG_BALL = ProblemConfig(N=3, M=4.0 * math.pi, l=1)
@@ -145,18 +152,64 @@ def test_kernel_agrees_with_jvp_evaluation(N, l):
         assert gap.max() <= _kernel_tol(N), f"eps={eps}"
 
 
+def _reference_characteristic(cfg: ProblemConfig, eps, lam):
+    """(F, scale) from ten mpmath Bessel calls, in the working precision.
+
+    J at orders nu-1 and nu on (a, b, c), Y at the same orders on (b, c),
+    the derivatives by DLMF 10.6.2, then the kernel's value and scale
+    arithmetic. eps and lam are mpfs. Independent of scipy and of the
+    propagator series in remainder_scaling.
+    """
+    nu = cfg.nu
+    a, b = wave_arguments(density_params(cfg, eps), lam)
+    c = b / (1 - eps)
+
+    def value_and_slope(fn, z):
+        value = fn(nu, z)
+        return value, fn(nu - 1.0, z) - nu / z * value
+
+    ja, jpa = value_and_slope(mp.besselj, a)
+    jb, jpb = value_and_slope(mp.besselj, b)
+    jc, jpc = value_and_slope(mp.besselj, c)
+    yb, ypb = value_and_slope(mp.bessely, b)
+    yc, ypc = value_and_slope(mp.bessely, c)
+    w1 = 1.0 - cfg.N / 2.0
+    ratio = (a / b) * jpa
+    p1 = ja * (ypb * jc - jpb * yc) + ratio * (jb * yc - yb * jc)
+    p2 = ja * (ypb * jpc - jpb * ypc) + ratio * (jb * ypc - yb * jpc)
+    outer = max(abs(w1) * mp.hypot(jc, yc), c * mp.hypot(jpc, ypc))
+    inner = max(abs(ja) * mp.hypot(jpb, ypb), abs(ratio) * mp.hypot(jb, yb))
+    return w1 * p1 + c * p2, max(outer * inner, 1e-300)
+
+
+def _reference_remainder(cfg: ProblemConfig, lam: float, eps: float) -> float:
+    """remainder_scaling at one eps, with F from _reference_characteristic."""
+    nu = cfg.nu
+    with mp.workprec(136):
+        lam_mp, eps_mp = mp.mpf(lam), mp.mpf(eps)
+        c0, c1 = branch._truncated_coefficients(cfg, lam_mp, mp.mpf)
+        F, _ = _reference_characteristic(cfg, eps_mp, lam_mp)
+        a, b = wave_arguments(density_params(cfg, eps_mp), lam_mp)
+        ja = mp.besselj(nu, a)
+        jpa = mp.besselj(nu - 1.0, a) - nu / a * ja
+        b1 = b * mp.sqrt(eps_mp / lam_mp)
+        rescaled = F / jpa * mp.pi * nu * (1 - eps_mp) / (eps_mp * b1)
+        return float(abs(rescaled - (c0 + c1 * eps_mp)))
+
+
 @pytest.mark.parametrize("N, l", KERNEL_CASES)
 def test_kernel_mpmath_path_agrees_with_float_path(N, l):
+    """The float kernel against F evaluated by mpmath at 30 digits."""
     cfg = ProblemConfig(N=N, M=math.pi, l=l)
     eps_list, lam = _kernel_grid(N, l)
     with mp.workdps(30):
         for eps in eps_list[::2]:
             kernel = CharacteristicKernel(cfg, eps)
-            kernel_mp = CharacteristicKernel(cfg, mp.mpf(eps))
             for x in lam[::27].tolist():
                 value, scale = kernel(x)
-                value_mp, scale_mp = kernel_mp(mp.mpf(x))
-                assert isinstance(value_mp, mp.mpf)
+                value_mp, scale_mp = _reference_characteristic(
+                    cfg, mp.mpf(eps), mp.mpf(x)
+                )
                 assert abs(value - value_mp) <= _kernel_tol(N) * scale_mp
                 assert scale == pytest.approx(float(scale_mp), rel=1e-13)
 
@@ -230,6 +283,61 @@ def test_remainder_vanishes_superlinearly():
     ys = np.log([p[1] for p in pts])
     slope = np.polyfit(xs, ys, 1)[0]
     assert slope >= 1.4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(2, 5),
+    l=st.integers(1, 6),
+    mass=st.floats(0.5, 4.0),
+    log_eps=st.floats(-6.0, math.log10(0.19)),
+)
+def test_remainder_scaling_matches_the_bessel_reference(N, l, mass, log_eps):
+    """Propagators and the Wronskian give the remainder of ten Bessel calls."""
+    cfg = ProblemConfig(N=N, M=mass * N * unit_ball_volume(N), l=l)
+    lam = steklov_eigenvalue(cfg).value
+    eps = 10.0**log_eps
+    ((e, remainder),) = remainder_scaling(cfg, lam, [eps])
+    assert e == eps
+    reference = _reference_remainder(cfg, lam, eps)
+    assert abs(remainder - reference) <= 1e-20 * reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    twice_nu=st.integers(0, 60),
+    log_b=st.floats(math.log10(0.3), 2.5),
+    log_eps=st.floats(-7.0, math.log10(0.19)),
+)
+# paths one Taylor step cannot take: h = c - b near 74 loses 100 bits,
+# and nu/b = 200 runs past the term cap
+@example(twice_nu=0, log_b=2.5, log_eps=math.log10(0.19))
+@example(twice_nu=800, log_b=math.log10(2.0), log_eps=math.log10(0.19))
+def test_propagators_carry_bessel_functions_from_b_to_c(twice_nu, log_b, log_eps):
+    """C(c) = P C(b) + Q C'(b) and C'(c) = P' C(b) + Q' C'(b) for C = J, Y.
+
+    The error is measured against the summands, not against C(c): where
+    nu > b, Y(c) is a small difference of large summands, so that sum
+    cancels digits the propagators themselves keep.
+    """
+    nu = twice_nu / 2.0
+    with mp.workprec(136):
+        b = mp.mpf(10.0**log_b)
+        c = b / (1 - mp.mpf(10.0**log_eps))
+        P, Q, dP, dQ = branch._propagators(nu, b, c - b)
+        for fn in (mp.besselj, mp.bessely):
+            at_b, slope_b, at_c, slope_c = (
+                fn(nu, z, d) for z in (b, c) for d in (0, 1)
+            )
+            for p, q, want in ((P, Q, at_c), (dP, dQ, slope_c)):
+                summands = abs(p * at_b) + abs(q * slope_b)
+                assert abs(p * at_b + q * slope_b - want) <= 1e-35 * summands
+
+
+def test_propagator_series_has_a_term_cap(monkeypatch):
+    monkeypatch.setattr(branch, "_MAX_SERIES_TERMS", 5)
+    with pytest.raises(IterationLimitError, match="did not settle in 5 terms"):
+        remainder_scaling(CFG_DISC, 2.0, [0.01])
 
 
 def test_continue_branch_reaches_target_eps():

@@ -344,6 +344,67 @@ def test_lambda_max_must_be_finite_and_positive(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-remainder", "--N", "2", "--M", "0.01", "--l", "1"],
+        ["slope", "--N", "2", "--M", "0.01", "--l", "1"],
+        ["oracle-compare", "--N", "2", "--M", "0.01", "--l", "1"],
+        ["branch", "--N", "2", "--M", "0.01", "--l", "1", "--eps-max", "0.5",
+         "--steps", "5"],
+        ["eigenfunction", "--N", "2", "--M", "0.01", "--l", "1", "--eps", "0.2"],
+        ["figure", "--N", "2", "--M", "0.05", "--l", "1", "--eps", "0.1..0.5",
+         "--steps", "3", "--lambda-max", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_positive_annulus_density_is_usage_error(tmp_path, capsys, argv):
+    # the annulus density is positive only while M > eps omega (1-eps)^N
+    argv = argv + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["code"] == 2
+    assert re.match(
+        r"mass M=0\.0[15] must exceed eps\*omega\*\(1-eps\)\^N = \S+ at eps=\S+, N=2: "
+        r"the annulus density would not be positive$",
+        payload["message"],
+    ), payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["figure", "--l", "1", "--eps", "0.5..0.1"],
+         "argument --eps: range must increase, got '0.5..0.1'"),
+        (["figure", "--l", "1", "--eps", "0.1"],
+         "argument --eps: expected 'lo..hi', got '0.1'"),
+        (["figure", "--l", "1", "--eps", "0.1..x"],
+         "argument --eps: expected 'lo..hi', got '0.1..x'"),
+        (["figure", "--l", "3..1", "--eps", "0.1..0.5"],
+         "argument --l: range must not decrease, got '3..1'"),
+        (["figure", "--l", "x", "--eps", "0.1..0.5"],
+         "argument --l: expected 'lo..hi' or int, got 'x'"),
+        (["figure", "--l", "1..2..3", "--eps", "0.1..0.5"],
+         "argument --l: expected 'lo..hi', got '1..2..3'"),
+        (["slope", "--l", "1", "--eps", "0.01,abc"],
+         "argument --eps: expected comma-separated floats, got 'abc' in '0.01,abc'"),
+        (["oracle-compare", "--l", "1", "--eps", "0.1,,1e"],
+         "argument --eps: expected comma-separated floats, got '1e' in '0.1,,1e'"),
+    ],
+)
+def test_range_and_list_parsers_keep_their_messages(tmp_path, capsys, argv, message):
+    cfg = ["--N", "2", "--M", "pi", "--out", str(tmp_path / "out")]
+    argv = argv[:1] + cfg + argv[1:]
+    assert cli.main(argv) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == 2
+    assert payload["message"] == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure_requires_output_directory():
     proc = run_cli(
         "figure", "--N", "2", "--M", "pi", "--l", "1..2", "--eps", "0.1..0.3"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from steklov.model import (
     DensityParams,
     ProblemConfig,
+    _ipow,
     density_params,
     unit_ball_volume,
     wave_arguments,
@@ -90,6 +91,21 @@ def test_density_params_domain(epsilon):
         density_params(cfg, epsilon)
 
 
+def test_density_params_refuses_a_non_positive_annulus_density():
+    cfg = ProblemConfig(N=2, M=0.01, l=1)
+    with pytest.raises(ValueError) as info:
+        density_params(cfg, 0.2)
+    assert str(info.value) == (
+        f"mass M=0.01 must exceed eps*omega*(1-eps)^N = {0.2 * math.pi * (0.8 * 0.8)} "
+        "at eps=0.2, N=2: the annulus density would not be positive"
+    )
+    # at the bound itself the annulus would be empty of mass
+    boundary = ProblemConfig(N=2, M=0.5 * math.pi * 0.25, l=1)
+    with pytest.raises(ValueError, match="would not be positive"):
+        density_params(boundary, 0.5)
+    assert density_params(ProblemConfig(N=2, M=0.01, l=1), 0.001).rho_annulus > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     N=st.integers(min_value=1, max_value=8),
@@ -102,10 +118,17 @@ def test_mass_identity(N, M, epsilon):
     The reconstruction divides by the shell volume fraction 1 - (1-eps)^N,
     which is ~ N eps for small eps, so one ulp of the core volume inflates
     by its reciprocal; the tolerance carries that conditioning factor.
+    A mass at or below the core's eps * omega * (1-eps)^N would leave the
+    annulus a non-positive density and is refused instead.
     """
     cfg = ProblemConfig(N=N, M=M, l=0)
-    params = density_params(cfg, epsilon)
     w = cfg.omega
+    core_mass = epsilon * w * _ipow(1.0 - epsilon, N)
+    if not M > core_mass:
+        with pytest.raises(ValueError, match=r"annulus density would not be positive"):
+            density_params(cfg, epsilon)
+        return
+    params = density_params(cfg, epsilon)
     core = (1.0 - epsilon) ** N
     mass = params.rho_inner * w * core + params.rho_annulus * w * (1.0 - core)
     tol = 1e-13 + 5e-16 / (1.0 - core)

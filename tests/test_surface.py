@@ -83,3 +83,18 @@ def test_tracer_prices_shooting_integrations(tracer_module):
     shoots = [s for s in spans if s.name == "shooting.shoot"]
     assert len(shoots) >= 3
     assert all(s.parent == "shooting.eigenvalue_by_shooting" for s in shoots)
+
+
+def test_tracer_prices_remainder_points(tracer_module):
+    # branch.remainder_scaling.points and .ms_per_point read this span
+    cli, branch, shooting, crossprod, bessel, model = _traced_modules()
+    tracer = tracer_module.Tracer(cli, branch, shooting, crossprod, bessel, model)
+    with tracer:
+        cfg = ProblemConfig(N=2, M=math.pi, l=1)
+        branch.remainder_scaling(cfg, 2.0, [1e-4, 1e-3, 1e-2])
+    (span,) = [s for s in tracer.spans() if s.name == "branch.remainder_scaling"]
+    assert span.parent is None
+    assert span.items == 3
+    metrics = tracer_module.layer_metrics(tracer)
+    assert metrics["branch.remainder_scaling.points"] == 3
+    assert metrics["branch.remainder_scaling.ms_per_point"] > 0.0
