@@ -19,6 +19,7 @@ eigenfunction assembly, and the one-dimensional (trigonometric) analogue.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -26,11 +27,11 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sp
 
 from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig, density_params, wave_arguments
+from .roots import shrink_bracket
 from .spectrum import SteklovEigenvalue, steklov_eigenvalue
 
 __all__ = [
@@ -130,7 +131,7 @@ class CharacteristicKernel:
     Calling the kernel with lambda returns (F, scale), where scale is the
     largest attainable magnitude of F's constituent terms. lambda may be
 
-    - a float: floats come back (Brent iteration, the ulp-walk polish);
+    - a float: floats come back (window points, root iteration);
     - an ndarray: arrays come back, every F bitwise equal to the float
       call's (bracket windows, root scans; the scale may differ in the
       last bit, math.hypot and np.hypot round on their own).
@@ -217,10 +218,8 @@ def characteristic_1d(M: float, epsilon: float, lam: float) -> tuple[float, floa
     Neumann eigenvalues; the branch anchored at lambda_1 = 2/M survives the
     eps -> 0 limit, all higher ones diverge.
     """
-    if not M > 0:
-        raise ValueError(f"mass must be positive, got {M}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    # the bound check only: its rho_annulus loses digits to 1 - (1-eps) at small eps
+    density_params(ProblemConfig(N=1, M=M, l=1), epsilon)
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     rho_ann = M / (2.0 * epsilon) - 1.0 + epsilon
@@ -456,34 +455,6 @@ def _char_fn(cfg: ProblemConfig, epsilon: float) -> Callable:
     return fn
 
 
-def _polish_root(
-    fn: Callable[[float], tuple[float, float]], root: float
-) -> tuple[float, float]:
-    """Walk neighboring floats to the minimal normalized residual.
-
-    The characteristic is steep enough that one ulp of lambda can move
-    |F|/scale by more than DEFAULT_ROOT_TOL, so the iterate the bracketing
-    solver stops on is not necessarily the best representable root.
-    """
-    value, scale = fn(root)
-    best_res, best_x = abs(value) / scale, root
-    for direction in (math.inf, -math.inf):
-        x = root
-        rising = 0
-        for _ in range(64):
-            x = math.nextafter(x, direction)
-            value, scale = fn(x)
-            res = abs(value) / scale
-            if res < best_res:
-                best_res, best_x = res, x
-                rising = 0
-            else:
-                rising += 1
-                if rising >= 3:
-                    break
-    return best_x, best_res
-
-
 def find_root(
     cfg: ProblemConfig,
     epsilon: float,
@@ -491,53 +462,28 @@ def find_root(
     *,
     _known: tuple[float, float] | None = None,
 ) -> BranchPoint:
-    """Brent's method on the bracketing interval, residual-checked.
+    """The root in a sign-changing bracket, residual-checked.
 
-    The bracket endpoints must produce a sign change; convergence is
-    accepted only when |F| at the root is below DEFAULT_ROOT_TOL relative to
-    the largest constituent term of F. Each lambda is evaluated at most once
-    per call: Brent's points are kept with their scale, so the polish
-    does not evaluate again the iterate it starts from or the
-    neighbouring floats Brent already tried. _known, passed by the window
-    and scan callers in this module, is F at (lo, hi) as the kernel
-    returned it there; the ends are then not evaluated again.
+    shrink_bracket narrows the bracket to adjacent floats across which F
+    changes sign (or to an exact zero); the root is the end with the
+    smaller |F|/scale, accepted only when that is at most DEFAULT_ROOT_TOL.
+    (F, scale) is cached per lambda, so no lambda is evaluated twice in one
+    call. _known, passed by the window and scan callers in this module, is
+    F at (lo, hi) as the kernel returned it there; an end is then evaluated
+    only if it also ends the final bracket.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
-    kernel = _char_fn(cfg, epsilon)
-    memo: dict[float, tuple[float, float]] = {}
-
-    def fn(x: float) -> tuple[float, float]:
-        if x not in memo:
-            memo[x] = kernel(x)
-        return memo[x]
-
+    fn = functools.cache(_char_fn(cfg, epsilon))
     f_lo, f_hi = (fn(lo)[0], fn(hi)[0]) if _known is None else _known
-    if f_lo == 0.0:
-        root = lo
-    elif f_hi == 0.0:
-        root = hi
-    elif f_lo * f_hi > 0:
+    if f_lo * f_hi > 0:
         raise BracketError(
             f"no sign change on [{lo}, {hi}] at eps={epsilon} "
             f"(F={f_lo:.3e} and {f_hi:.3e})"
         )
-    else:
-        root, result = _opt.brentq(
-            lambda x: f_lo if x == lo else f_hi if x == hi else fn(x)[0],
-            lo,
-            hi,
-            xtol=1e-15,
-            rtol=4 * math.ulp(1.0),
-            maxiter=200,
-            full_output=True,
-        )
-        if not result.converged:
-            raise IterationLimitError(
-                f"root iteration did not converge on [{lo}, {hi}]", best=root
-            )
-    root, residual = _polish_root(fn, root)
+    ends = shrink_bracket(lambda x: fn(x)[0], lo, hi, f_lo, f_hi)
+    residual, root = min((abs(fn(x)[0]) / fn(x)[1], x) for x in ends)
     if residual > DEFAULT_ROOT_TOL:
         raise IterationLimitError(
             f"residual {residual:.3e} above tolerance {DEFAULT_ROOT_TOL:.1e} at "
@@ -701,9 +647,9 @@ def scan_roots(
 ) -> list[BranchPoint]:
     """All roots of the characteristic in (lam_min, lam_max) at fixed eps.
 
-    Uniform sign scan (one batched kernel call) plus Brent refinement,
-    which reuses the sampled values at the cell ends; used to seed the
-    divergent families that have no eps -> 0 anchor.
+    Uniform sign scan (one batched kernel call), then find_root on each
+    sign-changing cell, which reuses the sampled values at the cell ends;
+    used to seed the divergent families that have no eps -> 0 anchor.
     """
     fn = _char_fn(cfg, epsilon)
     xs = [lam_min + (lam_max - lam_min) * i / samples for i in range(samples + 1)]

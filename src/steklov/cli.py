@@ -331,7 +331,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         res = _sh.eigenvalue_by_shooting(
             cfg,
             eps,
-            (pt.lam - width, pt.lam + width),
+            (max(pt.lam - width, 0.5 * pt.lam), pt.lam + width),
             grid_size=args.grid_size,
             tol=1e-12,
         )

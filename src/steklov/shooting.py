@@ -33,14 +33,14 @@ and counts the sign changes of the eigenfunction.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _opt
 
 from .errors import BracketError
 from .model import ProblemConfig, density_params
+from .roots import shrink_bracket
 
 __all__ = ["ShootingResult", "shoot", "eigenvalue_by_shooting"]
 
@@ -162,25 +162,18 @@ def eigenvalue_by_shooting(
     grid_size: int = 2000,
     tol: float = 1e-10,
 ) -> ShootingResult:
-    """Brent's method on the boundary mismatch over a bracketing interval."""
+    """The shot at the end of the final bracket with the smaller |mismatch|.
+
+    shrink_bracket stops once the ends are at most tol apart.
+    """
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
-
-    def mismatch(lam: float) -> float:
-        return shoot(cfg, epsilon, lam, grid_size=grid_size).boundary_mismatch
-
-    m_lo, m_hi = mismatch(lo), mismatch(hi)
-    if m_lo == 0.0:
-        root = lo
-    elif m_hi == 0.0:
-        root = hi
-    elif m_lo * m_hi > 0:
-        raise BracketError(
-            f"no mismatch sign change on [{lo}, {hi}] at eps={epsilon}"
-        )
-    else:
-        root = _opt.brentq(
-            mismatch, lo, hi, xtol=tol, rtol=4 * math.ulp(1.0), maxiter=200
-        )
-    return shoot(cfg, epsilon, root, grid_size=grid_size)
+    shot = functools.cache(lambda lam: shoot(cfg, epsilon, lam, grid_size=grid_size))
+    m_lo, m_hi = shot(lo).boundary_mismatch, shot(hi).boundary_mismatch
+    if m_lo * m_hi > 0:
+        raise BracketError(f"no mismatch sign change on [{lo}, {hi}] at eps={epsilon}")
+    ends = shrink_bracket(
+        lambda lam: shot(lam).boundary_mismatch, lo, hi, m_lo, m_hi, xtol=tol
+    )
+    return min(map(shot, ends), key=lambda r: abs(r.boundary_mismatch))

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import optimize, special
 
 from steklov import branch
 from steklov.branch import (
@@ -45,7 +46,7 @@ CFG_DISC = ProblemConfig(N=2, M=math.pi, l=1)
 CFG_BALL = ProblemConfig(N=3, M=4.0 * math.pi, l=1)
 
 # Regression roots of the characteristic equation, found by bracketed
-# Brent iteration and confirmed by the residual gate and (independently)
+# root iteration and confirmed by the residual gate and (independently)
 # by the RK4 shooting solver in test_shooting.py.
 ROOT_DISC_001 = 2.0233581771556928
 ROOT_DISC_010 = 2.234651915659871
@@ -227,6 +228,76 @@ def test_kernel_rejects_one_dimension_and_nonpositive_lambda():
 def test_find_root_requires_sign_change():
     with pytest.raises(BracketError):
         find_root(CFG_DISC, 0.01, (3.0, 3.5))
+
+
+def _reference_find_root(cfg, eps, bracket, known):
+    """(root, residual) the former way: Brent, then a walk over neighbouring
+    floats to the smallest |F|/scale (up to 64 each way, stopping after three
+    in a row that do not improve)."""
+    kernel = branch._char_fn(cfg, eps)
+    lo, hi = bracket
+    f_lo, f_hi = known
+    if f_lo == 0.0:
+        root = lo
+    elif f_hi == 0.0:
+        root = hi
+    else:
+        root = optimize.brentq(
+            lambda x: f_lo if x == lo else f_hi if x == hi else kernel(x)[0],
+            lo, hi, xtol=1e-15, rtol=4 * math.ulp(1.0), maxiter=200,
+        )
+    value, scale = kernel(root)
+    best_res, best_x = abs(value) / scale, root
+    for direction in (math.inf, -math.inf):
+        x, rising = root, 0
+        for _ in range(64):
+            x = math.nextafter(x, direction)
+            value, scale = kernel(x)
+            if abs(value) / scale < best_res:
+                best_res, best_x, rising = abs(value) / scale, x, 0
+            else:
+                rising += 1
+                if rising >= 3:
+                    break
+    return best_x, best_res
+
+
+def _scan_cells(cfg, eps, lam_max):
+    """(bracket, known end values) of every cell scan_roots hands to find_root."""
+    cells = []
+
+    def recording(cfg, epsilon, bracket, *, _known):
+        cells.append((bracket, _known))
+        return find_root(cfg, epsilon, bracket, _known=_known)
+
+    with mock.patch.object(branch, "find_root", recording):
+        scan_roots(cfg, eps, lam_max)
+    return cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(2, 5),
+    l=st.integers(0, 6),
+    eps=st.floats(0.01, 0.95),
+)
+def test_find_root_matches_brent_and_polish(N, l, eps):
+    """The shared solver lands on the former root to 1e-13, on a sign change."""
+    cfg = ProblemConfig(N=N, M=4.0 * math.pi, l=l)
+    kernel = branch._char_fn(cfg, eps)
+    for bracket, known in _scan_cells(cfg, eps, 60.0):
+        pt = find_root(cfg, eps, bracket, _known=known)
+        ref, ref_residual = _reference_find_root(cfg, eps, bracket, known)
+        where = f"N={N} l={l} eps={eps} bracket={bracket}"
+        assert abs(pt.lam - ref) <= 1e-13 * ref, where
+        assert pt.residual <= DEFAULT_ROOT_TOL and ref_residual <= DEFAULT_ROOT_TOL
+        # an exact zero, or the end with the smaller |F|/scale of adjacent
+        # floats across which F changes sign
+        f_root = kernel(pt.lam)[0]
+        neighbours = [kernel(math.nextafter(pt.lam, d)) for d in (-math.inf, math.inf)]
+        assert f_root == 0.0 or any(
+            f_root * g < 0.0 and pt.residual <= abs(g) / s for g, s in neighbours
+        ), where
 
 
 def test_truncated_characteristic_at_zero_eps():

@@ -355,8 +355,12 @@ def test_lambda_max_must_be_finite_and_positive(
         ["eigenfunction", "--N", "2", "--M", "0.01", "--l", "1", "--eps", "0.2"],
         ["figure", "--N", "2", "--M", "0.05", "--l", "1", "--eps", "0.1..0.5",
          "--steps", "3", "--lambda-max", "1000"],
+        ["slope", "--N", "1", "--M", "0.01", "--l", "1"],
+        ["branch", "--N", "1", "--M", "0.01", "--l", "1", "--eps-max", "0.5",
+         "--steps", "5"],
+        ["oracle-compare", "--N", "1", "--M", "0.01", "--l", "1"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: argv[0] if argv[2] == "2" else f"{argv[0]}-N1",
 )
 def test_non_positive_annulus_density_is_usage_error(tmp_path, capsys, argv):
     # the annulus density is positive only while M > eps omega (1-eps)^N
@@ -367,7 +371,7 @@ def test_non_positive_annulus_density_is_usage_error(tmp_path, capsys, argv):
     payload = json.loads(captured.err)
     assert payload["code"] == 2
     assert re.match(
-        r"mass M=0\.0[15] must exceed eps\*omega\*\(1-eps\)\^N = \S+ at eps=\S+, N=2: "
+        r"mass M=0\.0[15] must exceed eps\*omega\*\(1-eps\)\^N = \S+ at eps=\S+, N=[12]: "
         r"the annulus density would not be positive$",
         payload["message"],
     ), payload["message"]
@@ -478,6 +482,18 @@ def test_oracle_compare_single_eps():
     assert payload["max_rel_diff"] <= payload["tolerance"] == 1e-8
     (row,) = payload["rows"]
     assert row["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize(
+    "N, M, l", [("2", "1000", "1"), ("3", "5000", "2")], ids=["disc", "ball"]
+)
+def test_oracle_compare_small_eigenvalues(capsys, N, M, l):
+    # lambda below 0.04: the shooting bracket must stay above lambda/2 > 0
+    assert cli.main(["oracle-compare", "--N", N, "--M", M, "--l", l]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert all(row["lambda_characteristic"] < 0.02 for row in payload["rows"])
+    assert payload["pass"] is True
+    assert payload["max_rel_diff"] <= 1e-10
 
 
 def test_spectrum_out_file_round_trip(tmp_path):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +21,10 @@ import pytest
 import steklov
 from steklov.model import ProblemConfig
 
-_MODULES = ("bessel", "branch", "cli", "crossprod", "errors", "model", "shooting", "spectrum")
+_MODULES = (
+    "bessel", "branch", "cli", "crossprod", "errors", "model", "roots", "shooting",
+    "spectrum",
+)
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -33,6 +38,20 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve():
     missing = [n for n in steklov.__all__ if not hasattr(steklov, n)]
     assert not missing, missing
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize also loads scipy.linalg and scipy.sparse, about a third of
+    # the CLI start time
+    src = str(Path(steklov.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, steklov.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.fixture
