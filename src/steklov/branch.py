@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -53,6 +54,7 @@ __all__ = [
     "slope_estimate",
     "radial_profile",
     "anchor_eigenvalue",
+    "write_fresh",
     "write_points_csv",
     "sidecar_metadata",
 ]
@@ -781,14 +783,37 @@ def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
 # table export
 
 
+def write_fresh(path: str | os.PathLike, text: str) -> None:
+    """Write ASCII text to path as a new file; the one writer of every output.
+
+    A regular file already at path is unlinked first, not truncated: ext4's
+    auto_da_alloc heuristic writes out a truncated and rewritten file when it
+    is closed (and a file renamed over another when it is renamed). On the
+    ext4 root of a 2-vCPU VM that cost 50-70 ms per figure CSV, against
+    about 0.02 ms for a new file. A hard link to the old file keeps the old
+    content. A symlink, device or FIFO is written through, so
+    --out /dev/stdout works and only a regular file is ever removed.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
 def write_points_csv(
     points: Sequence[BranchPoint], path: str | os.PathLike
 ) -> None:
-    """Three columns, round-trip float formatting, one row per point."""
+    """Three columns, round-trip float formatting, one row per point.
+
+    The file is written by `write_fresh`, so it replaces any regular file
+    at path.
+    """
     lines = ["epsilon,lambda,residual"]
     lines += [f"{p.epsilon!r},{p.lam!r},{p.residual!r}" for p in points]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_fresh(path, "\n".join(lines) + "\n")
 
 
 def sidecar_metadata(table: BranchTable) -> dict:

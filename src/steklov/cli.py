@@ -126,11 +126,15 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Text to stdout, or to the file out as a new file (`branch.write_fresh`)."""
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _branch.write_fresh(out, text)
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv(header: str, rows: list[tuple]) -> str:
@@ -158,7 +162,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             {"l": r[0], "lambda": r[1], "multiplicity": r[2], "slope": r[3]}
             for r in rows
         ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json(payload), args.out)
     else:
         _emit(_csv("l,lambda,multiplicity,slope", rows), args.out)
     return 0
@@ -173,9 +177,7 @@ def _cmd_branch(args: argparse.Namespace) -> int:
     else:
         _branch.write_points_csv(table.points, args.out)
         sidecar = os.path.splitext(args.out)[0] + ".json"
-        with open(sidecar, "w", encoding="ascii") as fh:
-            json.dump(_branch.sidecar_metadata(table), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _branch.write_fresh(sidecar, _json(_branch.sidecar_metadata(table)))
     if table.truncated:
         raise VerificationFailure(
             f"branch truncated after {len(table.points)} of {args.steps} points"
@@ -194,7 +196,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
             "formula": anchor.slope,
             "quotients": [{"epsilon": e, "quotient": q} for e, q, _ in rows],
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json(payload), args.out)
     else:
         _emit(_csv("epsilon,quotient,formula", rows), args.out)
     return 0
@@ -276,12 +278,20 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--lambda-max must exceed the root-scan floor {floor}, got {args.lam_max}"
         )
-    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    results = [
-        _trace_figure_l(ProblemConfig(N=args.N, M=args.M, l=l), grid, args.lam_max)
-        for l in range(args.l[0], args.l[1] + 1)
-    ]
+    # an --out that cannot be a directory fails here, before any tracing;
+    # a run that fails while tracing removes the directory it made
+    made = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    try:
+        results = [
+            _trace_figure_l(ProblemConfig(N=args.N, M=args.M, l=l), grid, args.lam_max)
+            for l in range(args.l[0], args.l[1] + 1)
+        ]
+    except BaseException:
+        if made:
+            os.rmdir(args.out)
+        raise
     manifest: dict = {
         "N": args.N,
         "M": args.M,
@@ -305,10 +315,27 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                     "points": len(fam["points"]),
                 }
             )
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _branch.write_fresh(os.path.join(args.out, "manifest.json"), _json(manifest))
+    _prune_stale_families(args.out, {fam["file"] for fam in manifest["families"]})
     return 0
+
+
+_FAMILY_FILE = re.compile(r"family_l\d+_(?:anchored|scan\d+)\.csv")
+
+
+def _prune_stale_families(out: str, listed: set[str]) -> None:
+    """Remove family CSVs of an earlier run that the new manifest does not list.
+
+    Only regular files named like a family file go; anything else stays.
+    """
+    with os.scandir(out) as entries:
+        for entry in entries:
+            if (
+                _FAMILY_FILE.fullmatch(entry.name)
+                and entry.name not in listed
+                and entry.is_file(follow_symlinks=False)
+            ):
+                os.unlink(entry.path)
 
 
 def _point_at(cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
@@ -347,7 +374,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
         )
     payload = {"rows": rows, "max_rel_diff": worst, "tolerance": tol,
                "pass": worst <= tol}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json(payload), args.out)
     if worst > tol:
         raise VerificationFailure(
             f"oracle disagreement {worst:.3e} exceeds {tol:.1e}"
@@ -388,7 +415,7 @@ def _cmd_verify_crossprod(args: argparse.Namespace) -> int:
         "gates": {"closed": 1e-10, "recursive": 1e-9},
         "pass": exact and worst_closed <= 1e-10 and worst_recursive <= 1e-9,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json(payload), args.out)
     if not payload["pass"]:
         raise VerificationFailure("cross-product identity gates exceeded")
     return 0
@@ -416,7 +443,7 @@ def _cmd_verify_remainder(args: argparse.Namespace) -> int:
         "gate": 1.4,
         "pass": slope >= 1.4,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json(payload), args.out)
     if slope < 1.4:
         raise VerificationFailure(
             f"remainder log-log slope {slope:.3f} below 1.4"
@@ -542,6 +569,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, str(exc), context)
     except ValueError as exc:  # UsageError included
         return _fail(2, str(exc), context)
+    except OSError as exc:  # an --out that cannot be written
+        return _fail(2, f"cannot write output: {exc}", context)
     except (ArithmeticError, RuntimeError) as exc:
         return _fail(3, str(exc), context)
 

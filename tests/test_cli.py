@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -502,3 +503,109 @@ def test_spectrum_out_file_round_trip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = parse_csv(out.read_text(encoding="ascii"))
     assert [float(r["lambda"]) for r in rows] == [0.0, 2.0, 4.0, 6.0]
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+_FIGURE = ["figure", "--N", "2", "--M", "pi", "--eps", "0.1..0.3", "--steps", "4",
+           "--lambda-max", "20"]
+_BRANCH = ["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.1",
+           "--steps", "3"]
+_SPECTRUM = ["spectrum", "--N", "2", "--M", "pi", "--l-max", "3"]
+
+
+def test_figure_out_on_a_file_exits_2_before_tracing(tmp_path, monkeypatch, capsys):
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("traced before --out was made a directory")
+
+    monkeypatch.setattr("steklov.branch.trace_family", no_tracing)
+    out = tmp_path / "fig"
+    out.write_text("not a directory\n", encoding="ascii")
+    assert cli.main([*_FIGURE, "--l", "1", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == 2
+    assert payload["message"].startswith("cannot write output: ")
+    assert str(out) in payload["message"]
+    assert out.read_text(encoding="ascii") == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["branch", "spectrum"])
+def test_unwritable_out_file_exits_2(tmp_path, capsys, command):
+    # a file in a missing directory, and a directory where a file should go
+    argv, out = {
+        "branch": (_BRANCH, tmp_path / "missing" / "b.csv"),
+        "spectrum": (_SPECTRUM, tmp_path),
+    }[command]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["code"] == 2
+    assert payload["message"].startswith("cannot write output: ")
+    assert str(out) in payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_rerun_prunes_only_its_stale_families(tmp_path):
+    out = tmp_path / "fig"
+    assert cli.main([*_FIGURE, "--l", "0..3", "--out", str(out)]) == 0
+    first = {p.name for p in out.iterdir()}
+    (out / "notes.txt").write_text("kept\n", encoding="ascii")
+    # named like a family file, but not a regular file
+    (out / "family_l9_scan1.csv").symlink_to(out / "notes.txt")
+    assert cli.main([*_FIGURE, "--l", "1..1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="ascii"))
+    listed = {f["file"] for f in manifest["families"]}
+    assert first - listed - {"manifest.json"}, "the first run left nothing to prune"
+    assert {p.name for p in out.iterdir()} == listed | {
+        "manifest.json", "notes.txt", "family_l9_scan1.csv"
+    }
+    assert (out / "notes.txt").read_text(encoding="ascii") == "kept\n"
+
+
+def test_outputs_are_new_files_not_truncated(tmp_path):
+    # a hard link to an output keeps the first run's bytes only if the
+    # second run wrote a new file instead of truncating the old one
+    fig = tmp_path / "fig"
+    branch_csv = tmp_path / "branch.csv"
+    spectrum_csv = tmp_path / "spectrum.csv"
+    runs = [
+        [*_FIGURE, "--l", "1..2", "--out", str(fig)],
+        [*_BRANCH, "--out", str(branch_csv)],
+        [*_SPECTRUM, "--out", str(spectrum_csv)],
+    ]
+    for argv in runs:
+        assert cli.main(argv) == 0
+    outputs = [*sorted(fig.iterdir()), branch_csv, branch_csv.with_suffix(".json"),
+               spectrum_csv]
+    links = tmp_path / "links"
+    links.mkdir()
+    first = {}
+    for i, path in enumerate(outputs):
+        link = links / f"{i}_{path.name}"
+        os.link(path, link)
+        first[path] = (link, path.read_bytes())
+    for argv in runs:
+        assert cli.main(argv) == 0
+    assert sorted(fig.iterdir()) == outputs[:-3]
+    for path, (link, data) in first.items():
+        assert link.read_bytes() == data, path
+        assert path.stat().st_nlink == 1, path
+        assert path.read_bytes() == data, path
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [(_SPECTRUM, "l,lambda,multiplicity,slope\n"), (_BRANCH, "epsilon,lambda,residual\n")],
+    ids=["spectrum", "branch"],
+)
+def test_symlinked_out_is_written_through(tmp_path, argv, header):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n", encoding="ascii")
+    link = tmp_path / "out.csv"
+    link.symlink_to(target)
+    assert cli.main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert target.read_text(encoding="ascii").startswith(header)

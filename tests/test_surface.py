@@ -9,6 +9,7 @@ tracer on the current modules.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import math
 import os
@@ -52,6 +53,48 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _can_write(call: ast.Call) -> bool:
+    """An open() whose mode is not a read-only literal, or a pathlib write."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def _file_writers(path: Path) -> list[str]:
+    """Qualified name of the scope of every call in path that can write a file."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call) and _can_write(child):
+                found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_one_file_writer():
+    # every output goes through branch.write_fresh, which replaces a regular
+    # file with a new one; a second writer would truncate in place again
+    src = Path(steklov.__file__).resolve().parent
+    writers = [w for path in sorted(src.glob("*.py")) for w in _file_writers(path)]
+    assert writers == ["branch.write_fresh"]
 
 
 @pytest.fixture
