@@ -28,8 +28,8 @@ __all__ = [
     "MAX_DERIV_ORDER",
 ]
 
-# the caller-facing cap, equal to crossprod.MAX_CROSS_ORDER;
-# direct_cross_product reaches k = 6 in verify-crossprod
+# the caller-facing cap, equal to crossprod.MAX_CROSS_ORDER: the tests
+# check direct_cross_product up to k = 8, verify-crossprod up to k = 6
 MAX_DERIV_ORDER = 8
 
 
@@ -103,6 +103,7 @@ def derivatives_up_to(kind: BesselKind, nu: float, z: float, k: int) -> BesselEv
                     + 2 m z y^(m-1) + m (m-1) y^(m-2)] / z^2,
 
     an upward recurrence seeded by the library value and first derivative.
+    ``crossprod._propagator_forms`` runs the same recurrence on exact forms.
     """
     if not 0 <= k <= MAX_DERIV_ORDER:
         raise UnsupportedOrderError(

@@ -318,6 +318,7 @@ def _taylor_step(nu, z, h):
     equation's only finite singular point is 0, so the series converge
     for |h| < z. They stop once three consecutive terms of all four sums
     fall below 2^-(prec+10); IterationLimitError past _MAX_SERIES_TERMS.
+    ``crossprod._propagator_forms`` runs the same recurrence on exact forms.
     """
     tiny = mp.ldexp(1, -(mp.mp.prec + 10))
     tiny_slope = tiny * abs(h)

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 from . import branch as _branch
@@ -170,14 +171,26 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_branch(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    if args.out is not None:
+        sidecar = os.path.splitext(args.out)[0] + ".json"
+        if sidecar == args.out:
+            raise UsageError(
+                f"--out {args.out} is also the path of its JSON sidecar; "
+                "give the CSV another extension"
+            )
     table = _branch.continue_branch(cfg, args.eps_max, args.steps, lam_max=args.lam_max)
     if args.out is None:
         rows = [(p.epsilon, p.lam, p.residual) for p in table.points]
         _emit(_csv("epsilon,lambda,residual", rows), None)
     else:
         _branch.write_points_csv(table.points, args.out)
-        sidecar = os.path.splitext(args.out)[0] + ".json"
-        _branch.write_fresh(sidecar, _json(_branch.sidecar_metadata(table)))
+        try:
+            _branch.write_fresh(sidecar, _json(_branch.sidecar_metadata(table)))
+        except OSError:
+            # leave no CSV without its sidecar; never remove a device or link
+            if stat.S_ISREG(os.lstat(args.out).st_mode):
+                os.unlink(args.out)
+            raise
     if table.truncated:
         raise VerificationFailure(
             f"branch truncated after {len(table.points)} of {args.steps} points"

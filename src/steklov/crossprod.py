@@ -8,12 +8,13 @@ left-hand ordering fixed once and never silently flipped:
     plain:   Y * J^(k)  -  J * Y^(k)
     primed:  Y' * J^(k) -  J' * Y^(k)
 
-``closed_form`` hardcodes the k <= 4 table; ``recursive_form`` rebuilds any
-order k <= 8 from two seeds (the k=0 cross-products: 0 and the Wronskian)
-by a pair of mutual recurrences, carried out on coefficients that are exact
-rational polynomials in nu. Shifting the order nu -> nu +- 1 inside the
-recursion is polynomial composition, so no Bessel function is ever
-evaluated at a negative order.
+``closed_form`` hardcodes the k <= 4 table as polynomials in nu;
+``recursive_form`` builds any order k <= 8 from the differentiated Bessel
+equation, which writes every derivative of a solution as
+C^(k) = P_k C + Q_k C' with P_k, Q_k polynomials in 1/z; pairing with the
+Wronskian leaves P_k or Q_k as the bracketed part. The coefficients are
+exact rationals at the exact order Fraction(nu). ``direct_cross_product``
+is the floating-point route from Bessel derivative values.
 """
 
 from __future__ import annotations
@@ -111,162 +112,77 @@ def direct_cross_product(kind: CrossKind, nu: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# symbolic recursion on polynomials in nu
-#
-# a polynomial is a tuple of Fractions, low degree first; a tail is a dict
-# mapping the inverse power m to such a polynomial
+# exact forms from the differentiated Bessel equation
 
-_Poly = tuple[Fraction, ...]
-_Tail = dict[int, _Poly]
-
-_ZERO: _Poly = ()
+_Laurent = dict[int, Coeff]  # {power of 1/z: coefficient}
 
 
-def _trim(p: list[Fraction]) -> _Poly:
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
+@lru_cache(maxsize=256)  # bounded: any float order is a new key
+def _propagator_forms(nu: Fraction) -> tuple[list[_Laurent], list[_Laurent]]:
+    """(P_j), (Q_j), j <= MAX_CROSS_ORDER, with C^(j) = P_j C + Q_j C' for all C.
 
+    Seeds (1, 0) and (0, 1). Bessel's equation differentiated j times and
+    divided by z^2 gives, in w = 1/z, the recurrence that P and Q obey
 
-def _padd(a: _Poly, b: _Poly) -> _Poly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
+        C^(j+2) = -[(2j+1) w C^(j+1) + (1 + (j^2 - nu^2) w^2) C^(j)
+                    + 2j w C^(j-1) + j(j-1) w^2 C^(j-2)],
 
-
-def _pscale(a: _Poly, c: Fraction) -> _Poly:
-    if c == 0:
-        return _ZERO
-    return tuple(x * c for x in a)
-
-
-def _pshift(a: _Poly, s: int) -> _Poly:
-    """Compose with nu -> nu + s."""
-    out = [Fraction(0)] * len(a)
-    for i, ci in enumerate(a):
-        if ci == 0:
-            continue
-        for j in range(i + 1):
-            out[j] += ci * math.comb(i, j) * Fraction(s) ** (i - j)
-    return _trim(out)
-
-
-def _pmul_nu2(a: _Poly) -> _Poly:
-    if not a:
-        return _ZERO
-    return (Fraction(0), Fraction(0)) + a
-
-
-def _peval(a: _Poly, nu: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * nu + c
-    return acc
-
-
-def _tadd(a: _Tail, b: _Tail) -> _Tail:
-    out = dict(a)
-    for m, p in b.items():
-        out[m] = _padd(out.get(m, _ZERO), p)
-    return {m: p for m, p in out.items() if p}
-
-
-def _tscale(a: _Tail, c: Fraction) -> _Tail:
-    if c == 0:
-        return {}
-    return {m: _pscale(p, c) for m, p in a.items()}
-
-
-def _tshift_order(a: _Tail, s: int) -> _Tail:
-    return {m: _pshift(p, s) for m, p in a.items()}
-
-
-def _tshift_power(a: _Tail, d: int) -> _Tail:
-    return {m + d: p for m, p in a.items()}
-
-
-def _tmul_nu2(a: _Tail) -> _Tail:
-    return {m: _pmul_nu2(p) for m, p in a.items()}
-
-
-@lru_cache(maxsize=None)
-def _symbolic_table(k: int) -> tuple[tuple[int, ...], tuple[_Tail, ...], tuple[int, ...], tuple[_Tail, ...]]:
-    """(r_j), (R_j), (q_j), (Q_j) for j = 0..k, coefficients polynomial in nu.
-
-    Seeds: the plain family at k=0 is identically zero, the primed family at
-    k=0 is the Wronskian J Y' - Y J' = +2/(pi z). Each next level follows
-    from the derivative identity (plain)' = plain at k+1 plus primed at k,
-    and from eliminating second derivatives with Bessel's equation at orders
-    nu-1, nu+1 (primed at k+1).
+    the one ``bessel.derivatives_up_to`` runs on values and
+    ``branch._taylor_step`` on Taylor terms. Its weights are integers up to
+    nu^2, so it needs no division, and at integer nu it runs on ints.
     """
-    r: list[int] = [0]
-    R: list[_Tail] = [{}]
-    q: list[int] = [1]
-    Q: list[_Tail] = [{}]
-    for j in range(k):
-        # plain level j+1:  r_{j+1} = -q_j,
-        # R_{j+1} = -Q_j - r_j/z - R_j/z + R_j'
-        tail = _tscale(Q[j], Fraction(-1))
-        if r[j]:
-            tail = _tadd(tail, {1: (Fraction(-r[j]),)})
-        # -R_j/z + R_j' combine to -(m+1) c_m at power m+1
-        shifted: _Tail = {
-            m + 1: _pscale(p, Fraction(-(m + 1))) for m, p in R[j].items()
-        }
-        tail = _tadd(tail, shifted)
-        r.append(-q[j])
-        R.append(tail)
-        # primed level j+1:  q_{j+1} = r_j,
-        # Q_{j+1} = (R_j(nu-1) + R_j(nu+1))/2
-        #           - nu^2 * sum_{i<=j} j! (-1)^(j-i)/i! (r_i + R_i) z^-(j-i+2)
-        half = Fraction(1, 2)
-        tail2 = _tadd(
-            _tscale(_tshift_order(R[j], -1), half),
-            _tscale(_tshift_order(R[j], +1), half),
-        )
-        for i in range(j + 1):
-            w = Fraction(math.factorial(j) * (-1) ** (j - i), math.factorial(i))
-            if w == 0:
-                continue
-            piece: _Tail = {}
-            if r[i]:
-                piece[j - i + 2] = (Fraction(r[i]),)
-            piece = _tadd(piece, _tshift_power(R[i], j - i + 2))
-            tail2 = _tadd(tail2, _tmul_nu2(_tscale(piece, -w)))
-        q.append(r[j])
-        Q.append(tail2)
-    return tuple(r), tuple(R), tuple(q), tuple(Q)
+    nu2 = int(nu) ** 2 if nu.denominator == 1 else nu * nu
+    P: list[_Laurent] = [{0: 1}, {}]
+    Q: list[_Laurent] = [{}, {0: 1}]
+    for j in range(MAX_CROSS_ORDER - 1):
+        for c in (P, Q):
+            nxt: _Laurent = {}
+            # (weight, power of w, term); c[j - 1], c[j - 2] wrap only at weight 0
+            for weight, shift, term in (
+                (2 * j + 1, 1, c[j + 1]),
+                (1, 0, c[j]),
+                (j * j - nu2, 2, c[j]),
+                (2 * j, 1, c[j - 1]),
+                (j * (j - 1), 2, c[j - 2]),
+            ):
+                if weight:
+                    for m, v in term.items():
+                        nxt[m + shift] = nxt.get(m + shift, 0) - weight * v
+            c.append(nxt)
+    return P, Q
 
 
-def _specialize(constant: int, tail: _Tail, nu: Fraction) -> LaurentForm:
-    coeffs: dict[int, Coeff] = {}
-    for m in sorted(tail):
-        v = _peval(tail[m], nu)
-        if v:
-            coeffs[m] = int(v) if v.denominator == 1 else v
-    return LaurentForm(constant_term=constant, inverse_power_coeffs=coeffs)
+def _form(bracket: Mapping[int, Coeff]) -> LaurentForm:
+    """The LaurentForm of c0 + sum c_m z^-m, given as {m: c_m} with c0 at m = 0."""
+    coeffs: dict[int, Coeff] = {
+        m: int(v) if v.denominator == 1 else v
+        for m, v in sorted(bracket.items())
+        if m and v
+    }
+    return LaurentForm(int(bracket.get(0, 0)), coeffs)
 
 
 def recursive_form(kind: CrossKind, nu: float) -> LaurentForm:
-    """Laurent form generated by the mutual recurrences, any k <= 8."""
+    """Laurent form from the differentiated Bessel equation, any k <= 8.
+
+    Pairing C^(k) = P_k C + Q_k C' with the Wronskian J Y' - Y J' = 2/(pi z)
+    gives plain_k = -Q_k * 2/(pi z) and primed_k = P_k * 2/(pi z).
+    """
     if kind.k > MAX_CROSS_ORDER:
         raise ValueError(f"cross-product order capped at {MAX_CROSS_ORDER}")
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
-    r, R, q, Q = _symbolic_table(kind.k)
-    nu_exact = nu if isinstance(nu, Fraction) else Fraction(nu)
+    P, Q = _propagator_forms(Fraction(nu))
     if kind.family is Family.PLAIN:
-        return _specialize(r[kind.k], R[kind.k], nu_exact)
-    return _specialize(q[kind.k], Q[kind.k], nu_exact)
+        return _form({m: -v for m, v in Q[kind.k].items()})
+    return _form(P[kind.k])
 
 
 # closed-form table for k <= 4; coefficients as polynomials in nu.
 # primed k=1 is identically zero and plain k=4 follows from one application
 # of the derivative identity to the k=3 forms; the other six are classical.
+_Poly = tuple[Fraction, ...]  # low degree first
+
 _CLOSED: dict[tuple[Family, int], tuple[int, dict[int, _Poly]]] = {
     (Family.PLAIN, 1): (-1, {}),
     (Family.PLAIN, 2): (0, {1: (Fraction(1),)}),
@@ -300,6 +216,10 @@ def closed_form(kind: CrossKind, nu: float) -> LaurentForm:
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     constant, tail = _CLOSED[(kind.family, kind.k)]
-    nu_exact = nu if isinstance(nu, Fraction) else Fraction(nu)
-    return _specialize(constant, tail, nu_exact)
-
+    nu_exact = Fraction(nu)
+    bracket = {
+        m: sum(c * nu_exact**i for i, c in enumerate(poly))
+        for m, poly in tail.items()
+    }
+    bracket[0] = Fraction(constant)
+    return _form(bracket)

@@ -547,6 +547,32 @@ def test_unwritable_out_file_exits_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_branch_out_that_is_its_own_sidecar_exits_2_before_tracing(
+    tmp_path, monkeypatch, capsys
+):
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("traced an --out that its sidecar would overwrite")
+
+    monkeypatch.setattr("steklov.branch.continue_branch", no_tracing)
+    out = tmp_path / "b.json"
+    assert cli.main([*_BRANCH, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == 2
+    assert "sidecar" in payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_branch_unwritable_sidecar_leaves_no_csv(tmp_path, capsys):
+    (tmp_path / "b.json").mkdir()
+    out = tmp_path / "b.csv"
+    assert cli.main([*_BRANCH, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["code"] == 2
+    assert payload["message"].startswith("cannot write output: ")
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["b.json"]
+
+
 def test_figure_rerun_prunes_only_its_stale_families(tmp_path):
     out = tmp_path / "fig"
     assert cli.main([*_FIGURE, "--l", "0..3", "--out", str(out)]) == 0

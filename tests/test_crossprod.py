@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov.crossprod import (
     MAX_CROSS_ORDER,
@@ -36,16 +38,65 @@ def test_recursive_equals_closed_exactly(family, k, nu):
 
 
 @pytest.mark.parametrize("family", [Family.PLAIN, Family.PRIMED])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("nu", NU_GRID)
 @pytest.mark.parametrize("z", Z_GRID)
 def test_recursive_matches_direct_evaluation(family, k, nu, z):
-    """Laurent forms agree with the raw derivative combination for k <= 6."""
+    """Laurent forms agree with the raw derivative combination for k <= 8."""
     kind = CrossKind(family, k)
     got = evaluate(recursive_form(kind, nu), z)
     expected = direct_cross_product(kind, nu, z)
     scale = max(abs(expected), 2.0 / (math.pi * z))
     assert abs(got - expected) <= 1e-9 * scale
+
+
+def _bracket(form: LaurentForm) -> dict[int, Fraction]:
+    """{power of 1/z: coefficient} of the bracketed part, c0 at power 0."""
+    out = {m: Fraction(c) for m, c in form.inverse_power_coeffs.items()}
+    out[0] = Fraction(form.constant_term)
+    return {m: c for m, c in out.items() if c}
+
+
+def _combine(*terms: tuple[Fraction | int, int, dict[int, Fraction]]) -> dict[int, Fraction]:
+    """sum of scale * z^-shift * bracket over (scale, shift, bracket) terms."""
+    out: dict[int, Fraction] = {}
+    for scale, shift, bracket in terms:
+        for m, c in bracket.items():
+            out[m + shift] = out.get(m + shift, Fraction(0)) + scale * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _d(bracket: dict[int, Fraction]) -> dict[int, Fraction]:
+    """d/dz of the bracketed part."""
+    return {m + 1: -m * c for m, c in bracket.items() if m}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    num=st.integers(min_value=0, max_value=40),
+    den=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=1, max_value=MAX_CROSS_ORDER - 1),
+)
+def test_recursive_forms_obey_the_derivative_identities(num, den, k):
+    """Exact links between consecutive orders, with W = 2/(pi z), B the brackets.
+
+    d/dz plain_k = plain_{k+1} + primed_k and (W B)' = W (B' - B/z) give
+        B_plain,k+1 = B'_plain,k - B_plain,k / z - B_primed,k;
+    Bessel's equation for Y'' and J'' gives
+        B_primed,k+1 = B'_primed,k + (1 - nu^2/z^2) B_plain,k.
+    """
+    nu = Fraction(num, den)
+    plain, primed, plain_next, primed_next = (
+        _bracket(recursive_form(CrossKind(family, order), nu))
+        for family, order in (
+            (Family.PLAIN, k),
+            (Family.PRIMED, k),
+            (Family.PLAIN, k + 1),
+            (Family.PRIMED, k + 1),
+        )
+    )
+    assert plain_next == _combine((1, 0, _d(plain)), (-1, 1, plain), (-1, 0, primed))
+    assert primed_next == _combine((1, 0, _d(primed)), (1, 0, plain), (-nu * nu, 2, plain))
 
 
 def test_order_five_primed_against_direct():
