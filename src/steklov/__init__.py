@@ -22,16 +22,14 @@ from .branch import (
     BranchPoint,
     BranchTable,
     CharacteristicKernel,
+    IntervalKernel,
     RadialProfile,
-    anchor_eigenvalue,
-    characteristic_1d,
     continue_branch,
     find_root,
     radial_profile,
     remainder_scaling,
     scan_roots,
     sidecar_metadata,
-    slope_at_zero_1d,
     slope_estimate,
     slope_from_truncated,
     trace_family,
@@ -70,6 +68,7 @@ __all__ = [
     "DEFAULT_ROOT_TOL",
     "DensityParams",
     "Family",
+    "IntervalKernel",
     "IterationLimitError",
     "LaurentForm",
     "ProblemConfig",
@@ -77,10 +76,8 @@ __all__ = [
     "ShootingResult",
     "SteklovEigenvalue",
     "UnsupportedOrderError",
-    "anchor_eigenvalue",
     "bessel",
     "bessel_deriv",
-    "characteristic_1d",
     "closed_form",
     "continue_branch",
     "density_params",
@@ -98,7 +95,6 @@ __all__ = [
     "shoot",
     "sidecar_metadata",
     "slope_at_zero",
-    "slope_at_zero_1d",
     "slope_estimate",
     "slope_from_truncated",
     "steklov_eigenvalue",

@@ -13,8 +13,10 @@ with a = sqrt(lambda eps)(1-eps), b = sqrt(lambda rho_annulus)(1-eps).
 Each nonzero eigenvalue branch lambda_l(eps) is a root curve of F anchored
 at the Steklov value lambda_l as eps -> 0. This module provides the
 equation, its truncated small-eps polynomial form with the remainder
-rescaling, root finding, predictor-corrector continuation, radial
-eigenfunction assembly, and the one-dimensional (trigonometric) analogue.
+rescaling, root finding, predictor-corrector continuation and radial
+eigenfunction assembly. On the interval (N = 1) the Bessel functions of
+order l - 1/2 are a cosine and a sine, and F has its own trigonometric
+kernel.
 """
 
 from __future__ import annotations
@@ -42,10 +44,9 @@ __all__ = [
     "BranchTable",
     "RadialProfile",
     "CharacteristicKernel",
-    "characteristic_1d",
+    "IntervalKernel",
     "truncated_characteristic",
     "slope_from_truncated",
-    "slope_at_zero_1d",
     "remainder_scaling",
     "find_root",
     "continue_branch",
@@ -53,7 +54,6 @@ __all__ = [
     "scan_roots",
     "slope_estimate",
     "radial_profile",
-    "anchor_eigenvalue",
     "write_fresh",
     "write_points_csv",
     "sidecar_metadata",
@@ -127,7 +127,7 @@ class _Interface(NamedTuple):
 
 
 class CharacteristicKernel:
-    """F(lambda, eps) and its scale at one (cfg, eps), for N >= 2.
+    """F(lambda, eps) and its scale at one (cfg, eps) of the ball in R^N.
 
     F = (1 - N/2) P1(a, b) + (b/(1-eps)) P2(a, b), see the module docstring.
     Calling the kernel with lambda returns (F, scale), where scale is the
@@ -144,11 +144,15 @@ class CharacteristicKernel:
     (a, b, c) and Y at the same orders on (b, c), with scipy's jv and yv
     (AMOS), one ufunc call each. The derivatives follow from the order
     nu-1 values by DLMF 10.6.2.
+
+    The interval is refused: at nu = l - 1/2 this kernel put the
+    eps = 1e-4 slope quotient of N = 1, M = 2, l = 1 2.3e-9 (relative)
+    from a 50-digit root, IntervalKernel 8.7e-13.
     """
 
     def __init__(self, cfg: ProblemConfig, epsilon) -> None:
-        if cfg.N < 2:
-            raise ValueError("use characteristic_1d for N = 1")
+        if cfg.N == 1:
+            raise ValueError("the Bessel kernel does not serve the interval (N = 1)")
         self.cfg = cfg
         self.epsilon = epsilon
         self._nu = cfg.nu
@@ -213,34 +217,47 @@ class CharacteristicKernel:
         return self.evaluate(self.interface(lam))
 
 
-def characteristic_1d(M: float, epsilon: float, lam: float) -> tuple[float, float]:
-    """The interval analogue: mass M on (-1, 1), density eps in the bulk.
+class IntervalKernel:
+    """F(lambda, eps) and its scale at one (cfg, eps) of the interval (-1, 1).
 
-    Returns (F, scale) like CharacteristicKernel. Roots give the nonzero
-    Neumann eigenvalues; the branch anchored at lambda_1 = 2/M survives the
-    eps -> 0 limit, all higher ones diverge.
+    The eigenfunction is cos (l = 0, even) or sin (l = 1, odd) of k1 x on
+    |x| <= x0 = 1 - eps and a multiple of cos(k2 (1 - x)), which meets the
+    Neumann condition at x = 1, on the shell; k1 = sqrt(lambda eps) and
+    k2 = sqrt(lambda rho_annulus). Matching value and slope at x0 leaves
+
+        odd:  F = k1 cos(k1 x0) cos(k2 eps) - k2 sin(k1 x0) sin(k2 eps),
+        even: F = k1 sin(k1 x0) cos(k2 eps) + k2 cos(k1 x0) sin(k2 eps).
+
+    A float or an ndarray of lambdas gives (F, scale) as from
+    CharacteristicKernel; an ndarray goes elementwise through the float
+    path, so batches match it bitwise. With F = p cos(k2 eps) +
+    q sin(k2 eps), the scale is max(|p|, |q|), the shell factors having
+    unit modulus (the Bessel kernel bounds its cross-products the same
+    way). rho_annulus = M/(2 eps) - 1 + eps is formed directly:
+    density_params, called once for its bound check, loses digits of it
+    to 1 - (1-eps) at small eps.
     """
-    # the bound check only: its rho_annulus loses digits to 1 - (1-eps) at small eps
-    density_params(ProblemConfig(N=1, M=M, l=1), epsilon)
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    rho_ann = M / (2.0 * epsilon) - 1.0 + epsilon
-    u = 2.0 * math.sqrt(lam * epsilon) * (1.0 - epsilon)
-    v = 2.0 * epsilon * math.sqrt(lam * rho_ann)
-    t1 = 2.0 * math.sqrt(epsilon * rho_ann) * math.cos(u) * math.sin(v)
-    t2 = (
-        -M / (2.0 * epsilon)
-        + 1.0
-        + (M / (2.0 * epsilon) - 1.0 + 2.0 * epsilon) * math.cos(v)
-    ) * math.sin(u)
-    # attainable magnitudes of the trigonometric summands (unit phase)
-    scale = max(
-        2.0 * math.sqrt(epsilon * rho_ann),
-        M / (2.0 * epsilon),
-        abs(M / (2.0 * epsilon) - 1.0 + 2.0 * epsilon),
-        1e-300,
-    )
-    return t1 + t2, scale
+
+    def __init__(self, cfg: ProblemConfig, epsilon) -> None:
+        density_params(cfg, epsilon)
+        self.epsilon = epsilon
+        self._odd = cfg.l == 1
+        self._rho = cfg.M / (2.0 * epsilon) - 1.0 + epsilon
+
+    def __call__(self, lam):
+        if isinstance(lam, np.ndarray):
+            pairs = [self(x) for x in lam.tolist()]
+            return tuple(np.array(col) for col in zip(*pairs))
+        if not lam > 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        eps = self.epsilon
+        k1, k2 = math.sqrt(lam * eps), math.sqrt(lam * self._rho)
+        inner = k1 * (1.0 - eps)
+        if self._odd:
+            p, q = k1 * math.cos(inner), -k2 * math.sin(inner)
+        else:
+            p, q = k1 * math.sin(inner), k2 * math.cos(inner)
+        return p * math.cos(k2 * eps) + q * math.sin(k2 * eps), max(abs(p), abs(q))
 
 
 def _truncated_coefficients(cfg: ProblemConfig, lam, num=float):
@@ -275,8 +292,6 @@ def truncated_characteristic(cfg: ProblemConfig, epsilon: float, lam: float) -> 
     lambda intervals (see remainder_scaling). Undefined when nu = 0
     (denominators vanish), which happens only for N = 2, l = 0.
     """
-    if cfg.N < 2:
-        raise ValueError("truncated form implemented for N >= 2")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     c0, c1 = _truncated_coefficients(cfg, lam)
@@ -292,12 +307,6 @@ def slope_from_truncated(cfg: ProblemConfig) -> float:
     """
     lam = cfg.N * cfg.omega * cfg.l / cfg.M
     return _truncated_coefficients(cfg, lam)[1] / 2.0
-
-
-def slope_at_zero_1d(M: float) -> float:
-    """First-order slope of the surviving 1D branch, (2/3)(lam1 + lam1^2)."""
-    lam1 = 2.0 / M
-    return (2.0 / 3.0) * (lam1 + lam1 * lam1)
 
 
 # terms of one Taylor step before remainder_scaling gives up
@@ -445,17 +454,7 @@ def remainder_scaling(
 
 def _char_fn(cfg: ProblemConfig, epsilon: float) -> Callable:
     """(F, scale) at one (cfg, eps) for a float or an ndarray of lambdas."""
-    if cfg.N >= 2:
-        return CharacteristicKernel(cfg, epsilon)
-
-    def fn(lam):
-        if isinstance(lam, np.ndarray):
-            # elementwise through the float path, so batches match it bitwise
-            pairs = [characteristic_1d(cfg.M, epsilon, x) for x in lam.tolist()]
-            return tuple(np.array(col) for col in zip(*pairs))
-        return characteristic_1d(cfg.M, epsilon, lam)
-
-    return fn
+    return (IntervalKernel if cfg.N == 1 else CharacteristicKernel)(cfg, epsilon)
 
 
 def find_root(
@@ -538,21 +537,6 @@ def _bracketed_root_near(
     return None
 
 
-def anchor_eigenvalue(cfg: ProblemConfig) -> SteklovEigenvalue:
-    """Steklov anchor of the branch; N = 1 gets the interval spectrum."""
-    if cfg.N == 1:
-        if cfg.l != 1:
-            raise ValueError(
-                "only the l = 1 interval branch survives the limit; "
-                f"got l = {cfg.l}"
-            )
-        lam1 = 2.0 / cfg.M
-        return SteklovEigenvalue(
-            l=1, value=lam1, multiplicity=1, slope=slope_at_zero_1d(cfg.M)
-        )
-    return steklov_eigenvalue(cfg)
-
-
 def trace_family(
     cfg: ProblemConfig,
     start: tuple[float, float],
@@ -620,9 +604,9 @@ def continue_branch(
         raise ValueError(f"eps_max must lie in (0, 1), got {eps_max}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    anchor = anchor_eigenvalue(cfg)
+    anchor = steklov_eigenvalue(cfg)
     grid = [eps_max * i / steps for i in range(1, steps + 1)]
-    if cfg.N >= 2 and cfg.l == 0:
+    if cfg.l == 0:
         pts = tuple(
             BranchPoint(epsilon=e, lam=0.0, residual=0.0, l=0, N=cfg.N, M=cfg.M)
             for e in grid
@@ -676,11 +660,11 @@ def slope_estimate(
     Each eps gets its own short continuation from the anchor so the
     quotient always refers to the anchored branch.
     """
-    anchor = anchor_eigenvalue(cfg)
+    anchor = steklov_eigenvalue(cfg)
     for e in eps_list:
         if not 0.0 < e <= 0.05:
             raise ValueError(f"quotients are meaningful for eps in (0, 0.05], got {e}")
-    if cfg.N >= 2 and cfg.l == 0:
+    if cfg.l == 0:
         return [(float(e), 0.0) for e in eps_list]
     out: list[tuple[float, float]] = []
     for e in eps_list:
@@ -763,8 +747,6 @@ class RadialProfile:
 
 def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
     """Assemble the radial eigenfunction at a converged branch point."""
-    if cfg.N < 2:
-        raise ValueError("radial profiles implemented for N >= 2")
     if point.residual > DEFAULT_ROOT_TOL:
         raise ValueError(
             f"branch point not converged: residual {point.residual:.3e} "

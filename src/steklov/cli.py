@@ -123,6 +123,8 @@ def _parse_float_list(text: str) -> list[float]:
                 raise argparse.ArgumentTypeError(
                     f"expected comma-separated floats, got {part.strip()!r} in {text!r}"
                 ) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
     return values
 
 
@@ -201,7 +203,7 @@ def _cmd_branch(args: argparse.Namespace) -> int:
 def _cmd_slope(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
     eps_list = args.eps or [1e-2, 1e-3, 1e-4]
-    anchor = _branch.anchor_eigenvalue(cfg)
+    anchor = steklov_eigenvalue(cfg)
     quotients = _branch.slope_estimate(cfg, eps_list)
     rows = [(e, q, anchor.slope) for e, q in quotients]
     if args.fmt == "json":
@@ -221,8 +223,8 @@ def _trace_figure_l(
     """All families of one angular index inside the lambda window."""
     families: list[dict] = []
     anchored_end: float | None = None
-    if cfg.l >= 1 or cfg.N == 1:
-        anchor = _branch.anchor_eigenvalue(cfg)
+    if cfg.l >= 1:
+        anchor = steklov_eigenvalue(cfg)
         points, truncated = _branch.trace_family(
             cfg,
             start=(0.0, anchor.value),
@@ -291,16 +293,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--lambda-max must exceed the root-scan floor {floor}, got {args.lam_max}"
         )
+    cfgs = [
+        ProblemConfig(N=args.N, M=args.M, l=l) for l in range(args.l[0], args.l[1] + 1)
+    ]
     # an --out that cannot be a directory fails here, before any tracing;
     # a run that fails while tracing removes the directory it made
     made = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     try:
-        results = [
-            _trace_figure_l(ProblemConfig(N=args.N, M=args.M, l=l), grid, args.lam_max)
-            for l in range(args.l[0], args.l[1] + 1)
-        ]
+        results = [_trace_figure_l(cfg, grid, args.lam_max) for cfg in cfgs]
     except BaseException:
         if made:
             os.rmdir(args.out)
@@ -436,7 +438,7 @@ def _cmd_verify_crossprod(args: argparse.Namespace) -> int:
 
 def _cmd_verify_remainder(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
-    anchor = _branch.anchor_eigenvalue(cfg)
+    anchor = steklov_eigenvalue(cfg)
     n = args.points
     if n < 2:
         raise UsageError(f"--points must be >= 2 for the log-log fit, got {n}")

@@ -48,10 +48,17 @@ def unit_ball_volume(N: int) -> float:
 
     Evaluated through exact integer/half-integer closed forms of the Gamma
     function (sqrt(pi) cancels for odd N), so the only rounding is the final
-    float division.
+    float division. Its integer denominator, (N/2)! or N!!, is a finite
+    double up to N = 340 (even) or N = 299 (odd); larger N are refused.
     """
     if N < 1:
         raise ValueError(f"dimension must be >= 1, got {N}")
+    parity, limit = ("even", 340) if N % 2 == 0 else ("odd", 299)
+    if N > limit:
+        raise ValueError(
+            f"dimension N={N} is too large: the unit-ball volume is computed "
+            f"for {parity} N <= {limit}"
+        )
     if N % 2 == 0:
         return _ipow(math.pi, N // 2) / math.factorial(N // 2)
     # odd N: Gamma(N/2 + 1) = N!! * sqrt(pi) / 2^((N+1)/2)
@@ -60,7 +67,11 @@ def unit_ball_volume(N: int) -> float:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Dimension N >= 1, finite total mass M > 0 and angular index l >= 0."""
+    """Dimension N >= 1, finite total mass M > 0 and angular index l >= 0.
+
+    The interval (N = 1) is the ball in R^1: its sphere S^0 = {-1, 1}
+    carries only the even (l = 0) and the odd (l = 1) harmonic.
+    """
 
     N: int
     M: float
@@ -73,6 +84,11 @@ class ProblemConfig:
             raise ValueError(f"mass must be finite and positive, got {self.M}")
         if self.l < 0:
             raise ValueError(f"angular index must be >= 0, got {self.l}")
+        if self.N == 1 and self.l > 1:
+            raise ValueError(
+                "the interval (N = 1) has only the even (l = 0) and odd (l = 1) "
+                f"modes, got l = {self.l}"
+            )
 
     @property
     def omega(self) -> float:
@@ -93,11 +109,9 @@ class ProblemConfig:
     def nu(self) -> float:
         """Bessel order (N + 2l - 2)/2 from separation of variables.
 
-        Only meaningful for N >= 2 (the one-dimensional problem is
-        trigonometric and never forms this order).
+        At N = 1 it is l - 1/2, where J_{-1/2} and J_{1/2} are the cosine
+        and the sine.
         """
-        if self.N < 2:
-            raise ValueError("Bessel order is defined for N >= 2 only")
         return (self.N + 2 * self.l - 2) / 2
 
 

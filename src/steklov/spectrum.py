@@ -29,13 +29,13 @@ def multiplicity(N: int, l: int) -> int:
     """Dimension of the degree-l spherical harmonics on S^(N-1).
 
     (2l + N - 2) (l + N - 3)! / (l! (N - 2)!) for l >= 1; the l = 0
-    eigenvalue is simple. Exact integer arithmetic throughout.
+    eigenvalue is simple, and so are both modes of the interval, whose
+    S^0 carries one even and one odd function. Exact integer arithmetic
+    throughout.
     """
-    if N < 2:
-        raise ValueError("multiplicity formula needs N >= 2")
     if l < 0:
         raise ValueError(f"angular index must be >= 0, got {l}")
-    if l == 0:
+    if l == 0 or N == 1:
         return 1
     return (
         (2 * l + N - 2)
@@ -46,11 +46,6 @@ def multiplicity(N: int, l: int) -> int:
 
 def steklov_eigenvalue(cfg: ProblemConfig) -> SteklovEigenvalue:
     """lambda_l = N omega_N l / M with multiplicity and branch slope."""
-    if cfg.N < 2:
-        raise ValueError(
-            "closed spectrum implemented for N >= 2; the one-dimensional "
-            "problem lives on the branch module's 1D path"
-        )
     value = cfg.N * cfg.omega * cfg.l / cfg.M
     return SteklovEigenvalue(
         l=cfg.l,
@@ -64,10 +59,9 @@ def slope_at_zero(cfg: ProblemConfig) -> float:
     """First derivative of the eigenvalue branch at eps = 0.
 
     2 l lambda_l / 3 + 2 lambda_l^2 / (N (2l + N)); zero for l = 0 since
-    the principal branch is identically zero.
+    the principal branch is identically zero. At N = 1, l = 1 it is
+    (2/3)(lambda_1 + lambda_1^2) with lambda_1 = 2/M.
     """
-    if cfg.N < 2:
-        raise ValueError("slope formula implemented for N >= 2")
     if cfg.l == 0:
         return 0.0
     lam = cfg.N * cfg.omega * cfg.l / cfg.M

@@ -20,12 +20,10 @@ import pytest
 from steklov.bessel import BesselKind, bessel, bessel_deriv
 from steklov.branch import (
     DEFAULT_ROOT_TOL,
-    anchor_eigenvalue,
     continue_branch,
     radial_profile,
     remainder_scaling,
     scan_roots,
-    slope_at_zero_1d,
     slope_estimate,
 )
 from steklov.crossprod import (
@@ -154,7 +152,7 @@ def test_criterion_06_oracle_equivalence():
 
 def test_criterion_07_remainder_scaling():
     """|remainder| of the truncated expansion fits slope >= 1.4 on [1e-5, 1e-2]."""
-    for N, M, l in ((2, math.pi, 1), (3, 4.0 * math.pi, 2)):
+    for N, M, l in ((1, 2.0, 1), (2, math.pi, 1), (3, 4.0 * math.pi, 2)):
         cfg = ProblemConfig(N=N, M=M, l=l)
         lam = steklov_eigenvalue(cfg).value
         grid = [10.0 ** (-5.0 + 3.0 * i / 6.0) for i in range(7)]
@@ -165,16 +163,18 @@ def test_criterion_07_remainder_scaling():
 
 
 def test_criterion_08_one_dimensional_branch():
-    """M=2 interval: quotient -> 4/3 and the second root diverges as eps -> 0."""
+    """M=2 interval: the odd (l = 1) quotient -> 4/3, and the second root,
+    the first nonzero even (l = 0) one, diverges as eps -> 0."""
     cfg = ProblemConfig(N=1, M=2.0, l=1)
-    formula = slope_at_zero_1d(2.0)
+    formula = slope_at_zero(cfg)
     assert formula == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert anchor_eigenvalue(cfg).value == pytest.approx(1.0, rel=1e-15)
+    assert steklov_eigenvalue(cfg).value == pytest.approx(1.0, rel=1e-15)
     for eps, quotient in slope_estimate(cfg, EPS_SMALL):
         assert abs(quotient - formula) <= 5.0 * formula * eps, f"eps={eps}"
+    even = ProblemConfig(N=1, M=2.0, l=0)
     second_roots = []
     for eps in EPS_SMALL:
-        roots = scan_roots(cfg, eps, 4.0 / eps, samples=4000, lam_min=0.5)
+        roots = scan_roots(even, eps, 4.0 / eps, samples=4000, lam_min=0.5)
         above = [p.lam for p in roots if p.lam > 2.0]
         assert above, f"no second root located at eps={eps}"
         second_roots.append(above[0])

@@ -13,7 +13,9 @@ import sys
 import pytest
 
 from steklov import cli
+from steklov.branch import DEFAULT_ROOT_TOL, IntervalKernel
 from steklov.cli import parse_mass
+from steklov.model import ProblemConfig
 
 _BASE = [sys.executable, "-m", "steklov.cli"]
 
@@ -398,6 +400,11 @@ def test_non_positive_annulus_density_is_usage_error(tmp_path, capsys, argv):
          "argument --eps: expected comma-separated floats, got 'abc' in '0.01,abc'"),
         (["oracle-compare", "--l", "1", "--eps", "0.1,,1e"],
          "argument --eps: expected comma-separated floats, got '1e' in '0.1,,1e'"),
+        # a list with no value is refused, not replaced by the default list
+        (["slope", "--l", "1", "--eps", ","],
+         "argument --eps: expected comma-separated floats, got ','"),
+        (["oracle-compare", "--l", "1", "--eps", ","],
+         "argument --eps: expected comma-separated floats, got ','"),
     ],
 )
 def test_range_and_list_parsers_keep_their_messages(tmp_path, capsys, argv, message):
@@ -408,6 +415,74 @@ def test_range_and_list_parsers_keep_their_messages(tmp_path, capsys, argv, mess
     assert payload["code"] == 2
     assert payload["message"] == message
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("N", ["299", "300", "340", "301", "341", "342"])
+def test_spectrum_dimension_bound(capsys, N):
+    # odd N <= 299 and even N <= 340 keep the unit-ball volume's division finite
+    limit = 340 if int(N) % 2 == 0 else 299
+    code = cli.main(["spectrum", "--N", N, "--M", "1", "--l", "1"])
+    captured = capsys.readouterr()
+    if int(N) <= limit:
+        assert code == 0, captured.err
+        return
+    assert code == 2
+    assert captured.out == ""
+    message = json.loads(captured.err)["message"]
+    assert message.startswith(f"dimension N={N} is too large")
+    assert message.endswith(f"N <= {limit}")
+
+
+def test_interval_spectrum_and_remainder(capsys):
+    assert cli.main(["spectrum", "--N", "1", "--M", "2", "--l-max", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "l,lambda,multiplicity,slope\n0,0.0,1,0.0\n1,1.0,1,1.3333333333333333\n"
+    )
+    assert cli.main(["spectrum", "--N", "1", "--M", "2", "--l-max", "2"]) == 2
+    assert "only the even (l = 0) and odd (l = 1)" in capsys.readouterr().err
+    assert cli.main(["verify-remainder", "--N", "1", "--M", "2", "--l", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True
+    assert 1.9 <= payload["fitted_slope"] <= 2.1
+
+
+def test_interval_figure_splits_families_by_parity(tmp_path):
+    out = tmp_path / "fig"
+    argv = ["figure", "--N", "1", "--M", "2", "--l", "0..1", "--eps", "0.05..0.9",
+            "--steps", "40", "--lambda-max", "30", "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="ascii"))
+    assert [(f["file"], f["kind"]) for f in manifest["families"]] == [
+        ("family_l0_scan1.csv", "scan"),
+        ("family_l1_anchored.csv", "anchored"),
+        ("family_l1_scan1.csv", "scan"),
+    ]
+    for fam in manifest["families"]:
+        rows = parse_csv((out / fam["file"]).read_text(encoding="ascii"))
+        assert len(rows) == fam["points"]
+        for row in rows:
+            eps, lam = float(row["epsilon"]), float(row["lambda"])
+            own, other = (
+                IntervalKernel(ProblemConfig(N=1, M=2.0, l=l), eps)(lam)
+                for l in (fam["l"], 1 - fam["l"])
+            )
+            # a root of its own parity's factor, far from one of the other's
+            assert float(row["residual"]) == abs(own[0]) / own[1] <= DEFAULT_ROOT_TOL
+            assert abs(other[0]) / other[1] > 1e-6
+
+
+def test_figure_refuses_an_interval_l_before_making_out(tmp_path, monkeypatch, capsys):
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("traced before every l was checked")
+
+    monkeypatch.setattr("steklov.branch.trace_family", no_tracing)
+    monkeypatch.setattr("steklov.branch.scan_roots", no_tracing)
+    out = tmp_path / "fig"
+    argv = ["figure", "--N", "1", "--M", "2", "--l", "0..3", "--eps", "0.1..0.5",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "got l = 2" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
 
 
 def test_figure_requires_output_directory():

@@ -53,6 +53,7 @@ def test_sphere_measure_and_boundary_density():
         {"N": 2, "M": -1.0, "l": 0},
         {"N": 2, "M": 1.0, "l": -1},
         {"N": 2, "M": math.inf, "l": 0},
+        {"N": 1, "M": 1.0, "l": 2},
     ],
 )
 def test_config_validation(kwargs):
@@ -69,9 +70,10 @@ def test_bessel_order_values_and_monotonicity():
     assert all(b > a for a, b in zip(orders, orders[1:]))
 
 
-def test_bessel_order_requires_two_dimensions():
-    with pytest.raises(ValueError):
-        _ = ProblemConfig(N=1, M=1.0, l=1).nu
+def test_bessel_order_of_the_interval():
+    """At N = 1 the order is l - 1/2: J_{-1/2} and J_{1/2} are cos and sin."""
+    assert ProblemConfig(N=1, M=1.0, l=0).nu == -0.5
+    assert ProblemConfig(N=1, M=1.0, l=1).nu == 0.5
 
 
 def test_density_params_example():

@@ -40,6 +40,9 @@ def test_ball_spectrum_is_integers():
         (4, 2, 9),
         # (2*3 + 5 - 2) * (3 + 5 - 3)! / (3! * 3!) = 9 * 120 / 36
         (5, 3, 30),
+        # S^0 = {-1, 1} carries one even and one odd function
+        (1, 0, 1),
+        (1, 1, 1),
     ],
 )
 def test_multiplicities(N, l, expected):
@@ -64,6 +67,8 @@ def test_multiplicity_big_arguments_exact():
         (2, 1.0, 2, 8.0),
         (3, 4.0, 1, 0.8),
         (3, 4.0, 2, 64.0 / 21.0),
+        # the interval at M = 2: lambda_1 = 1, (2/3)(1 + 1)
+        (1, 2.0 / math.pi, 1, 4.0 / 3.0),
     ],
 )
 def test_slope_closed_values(N, M_factor, l, expected):
@@ -87,9 +92,15 @@ def test_eigenvalue_fields_consistent():
     assert eig.value == pytest.approx(cfg.l / cfg.rho, rel=1e-14)
 
 
-def test_one_dimensional_case_is_refused():
-    with pytest.raises(ValueError):
-        steklov_eigenvalue(ProblemConfig(N=1, M=2.0, l=1))
+def test_one_dimensional_spectrum_has_two_modes():
+    """lambda_0 = 0 and lambda_1 = 2/M, both simple; l >= 2 is refused."""
+    for M in (0.5, 2.0, 7.0):
+        even, odd = (steklov_eigenvalue(ProblemConfig(N=1, M=M, l=l)) for l in (0, 1))
+        assert (even.value, even.multiplicity, even.slope) == (0.0, 1, 0.0)
+        assert odd.value == pytest.approx(2.0 / M, rel=1e-15)
+        assert odd.multiplicity == 1
+    with pytest.raises(ValueError, match="only the even"):
+        ProblemConfig(N=1, M=2.0, l=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,9 +117,16 @@ def test_positive_branch_data_for_positive_modes(N, l, M):
     assert eig.multiplicity >= 1
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
-@pytest.mark.parametrize("M_factor", [0.5, 1.0, 4.0])
-@pytest.mark.parametrize("l", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "N, M_factor, l",
+    [
+        pytest.param(N, M_factor, l, id=f"{l}-{M_factor}-{N}")
+        for l in (1, 2, 3, 5)
+        for M_factor in (0.5, 1.0, 4.0)
+        # the interval has no l >= 2
+        for N in range(1 if l == 1 else 2, 6)
+    ],
+)
 def test_slope_agrees_with_characteristic_expansion(N, M_factor, l):
     """The closed slope equals the ratio read off the truncated equation.
 
