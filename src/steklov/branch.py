@@ -26,7 +26,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -104,28 +104,6 @@ def _derivative(lower, value, nu, z):
     return lower - nu / z * value
 
 
-class _Interface(NamedTuple):
-    """Wave arguments and Bessel values behind one evaluation of F.
-
-    J_nu and J_nu' at a, b and c = b/(1-eps); Y_nu and Y_nu' at b and c.
-    Fields are floats or ndarrays, following the lambda they came from.
-    """
-
-    a: Any
-    b: Any
-    c: Any
-    ja: Any
-    jpa: Any
-    jb: Any
-    jpb: Any
-    yb: Any
-    ypb: Any
-    jc: Any
-    jpc: Any
-    yc: Any
-    ypc: Any
-
-
 class CharacteristicKernel:
     """F(lambda, eps) and its scale at one (cfg, eps) of the ball in R^N.
 
@@ -153,7 +131,6 @@ class CharacteristicKernel:
     def __init__(self, cfg: ProblemConfig, epsilon) -> None:
         if cfg.N == 1:
             raise ValueError("the Bessel kernel does not serve the interval (N = 1)")
-        self.cfg = cfg
         self.epsilon = epsilon
         self._nu = cfg.nu
         self._w1 = 1.0 - cfg.N / 2.0
@@ -161,46 +138,30 @@ class CharacteristicKernel:
         # orders (nu-1, nu) as a column, broadcast against the arguments
         self._orders = np.array([[self._nu - 1.0], [self._nu]])
 
-    def interface(self, lam) -> _Interface:
-        """Wave arguments and Bessel values of one evaluation at lambda."""
+    def __call__(self, lam):
         a, b = wave_arguments(self._density, lam)
         c = b / (1.0 - self.epsilon)
-        nu = self._nu
+        nu, w1 = self._nu, self._w1
         if isinstance(lam, np.ndarray):
             orders = self._orders[..., None]
             J = _sp.jv(orders, (a, b, c))
             Y = _sp.yv(orders, (b, c))
+            hypot, maximum = np.hypot, np.maximum
         else:
             J = _sp.jv(self._orders, (a, b, c)).tolist()
             Y = _sp.yv(self._orders, (b, c)).tolist()
+            hypot, maximum = math.hypot, max
         (ja1, jb1, jc1), (ja, jb, jc) = J
         (yb1, yc1), (yb, yc) = Y
-        return _Interface(
-            a, b, c,
-            ja, _derivative(ja1, ja, nu, a),
-            jb, _derivative(jb1, jb, nu, b),
-            yb, _derivative(yb1, yb, nu, b),
-            jc, _derivative(jc1, jc, nu, c),
-            yc, _derivative(yc1, yc, nu, c),
-        )
-
-    def evaluate(self, at: _Interface):
-        """(F, scale) from interface values; one arithmetic for every operand.
-
-        The scale makes residuals meaningful: at a root the weighted summands
-        cancel each other, so |F|/scale is the natural convergence measure.
-        """
-        if isinstance(at.a, np.ndarray):
-            hypot, maximum = np.hypot, np.maximum
-        else:
-            hypot, maximum = math.hypot, max
-        w1 = self._w1
-        a, b, c, ja, jpa, jb, jpb, yb, ypb, jc, jpc, yc, ypc = at
-        ratio = (a / b) * jpa
+        jpb, ypb = _derivative(jb1, jb, nu, b), _derivative(yb1, yb, nu, b)
+        jpc, ypc = _derivative(jc1, jc, nu, c), _derivative(yc1, yc, nu, c)
+        ratio = (a / b) * _derivative(ja1, ja, nu, a)
         # P1: value cross-products at (b, b/(1-eps)); P2: derivative versions
         p1 = ja * (ypb * jc - jpb * yc) + ratio * (jb * yc - yb * jc)
         p2 = ja * (ypb * jpc - jpb * ypc) + ratio * (jb * ypc - yb * jpc)
         value = w1 * p1 + c * p2
+        # The scale makes residuals meaningful: at a root the weighted
+        # summands cancel, so |F|/scale is the natural convergence measure.
         # Each summand is a cross-product <(Y', -J')(b), (J, Y)(c)> whose
         # attainable magnitude is the product of the factor moduli. Measuring
         # residuals against the largest attainable summand keeps the measure
@@ -212,9 +173,6 @@ class CharacteristicKernel:
         outer = maximum(abs(w1) * hypot(jc, yc), c * hypot(jpc, ypc))
         inner = maximum(abs(ja) * hypot(jpb, ypb), abs(ratio) * hypot(jb, yb))
         return value, maximum(outer * inner, 1e-300)
-
-    def __call__(self, lam):
-        return self.evaluate(self.interface(lam))
 
 
 class IntervalKernel:
@@ -657,31 +615,30 @@ def slope_estimate(
 ) -> list[tuple[float, float]]:
     """Difference quotients (lambda(eps) - lambda_l)/eps toward the slope.
 
-    Each eps gets its own short continuation from the anchor so the
-    quotient always refers to the anchored branch.
+    Each eps gets its own one-step continue_branch from the anchor, so the
+    quotient always refers to the anchored branch (zero on the l = 0
+    principal branch).
     """
-    anchor = steklov_eigenvalue(cfg)
     for e in eps_list:
         if not 0.0 < e <= 0.05:
             raise ValueError(f"quotients are meaningful for eps in (0, 0.05], got {e}")
-    if cfg.l == 0:
-        return [(float(e), 0.0) for e in eps_list]
     out: list[tuple[float, float]] = []
     for e in eps_list:
-        points, truncated = trace_family(
-            cfg,
-            start=(0.0, anchor.value),
-            eps_values=[e],
-            slope0=anchor.slope,
-        )
-        if truncated or not points:
+        table = continue_branch(cfg, e, 1)
+        if table.truncated or not table.points:
             raise BracketError(f"branch lost on the way to eps={e}")
-        out.append((float(e), (points[0].lam - anchor.value) / e))
+        out.append((float(e), (table.points[0].lam - table.anchor.value) / e))
     return out
 
 
 # ---------------------------------------------------------------------------
 # radial eigenfunction
+
+
+def _bessel_pair(fn, nu, z) -> tuple[float, float]:
+    """(C_nu(z), C_nu'(z)) for C = fn, scipy's jv or yv (DLMF 10.6.2)."""
+    lower, value = fn((nu - 1.0, nu), z).tolist()
+    return value, _derivative(lower, value, nu, z)
 
 
 @dataclass(frozen=True)
@@ -691,7 +648,8 @@ class RadialProfile:
     Inside: r^(1-N/2) J_nu(sqrt(lambda eps) r); on the annulus the same
     power times alpha J_nu + beta Y_nu at sqrt(lambda rho_annulus) r. The
     matching coefficients fold in the Wronskian 2/(pi b), making S and S'
-    continuous at r = 1-eps by construction.
+    continuous at r = 1-eps by construction. Y_nu is evaluated on the
+    annulus only: it overflows near r = 0 at large nu.
     """
 
     cfg: ProblemConfig
@@ -700,49 +658,28 @@ class RadialProfile:
     alpha: float
     beta: float
 
-    @property
-    def _power(self) -> float:
-        return 1.0 - self.cfg.N / 2.0
-
-    @property
-    def _k_inner(self) -> float:
-        return math.sqrt(self.lam * self.epsilon)
-
-    @property
-    def _k_annulus(self) -> float:
-        rho_ann = density_params(self.cfg, self.epsilon).rho_annulus
-        return math.sqrt(self.lam * rho_ann)
+    def _at(self, r: float) -> tuple[float, float]:
+        """(S(r), S'(r))."""
+        if not 0.0 < r <= 1.0:
+            raise ValueError(f"radius must lie in (0, 1], got {r}")
+        nu, p = self.cfg.nu, 1.0 - self.cfg.N / 2.0
+        if r <= 1.0 - self.epsilon:
+            k = math.sqrt(self.lam * self.epsilon)
+            combo, combo_p = _bessel_pair(_sp.jv, nu, k * r)
+        else:
+            rho_ann = density_params(self.cfg, self.epsilon).rho_annulus
+            k = math.sqrt(self.lam * rho_ann)
+            j, jp = _bessel_pair(_sp.jv, nu, k * r)
+            y, yp = _bessel_pair(_sp.yv, nu, k * r)
+            combo = self.alpha * j + self.beta * y
+            combo_p = self.alpha * jp + self.beta * yp
+        return r**p * combo, p * r ** (p - 1.0) * combo + r**p * k * combo_p
 
     def value(self, r: float) -> float:
-        if not 0.0 < r <= 1.0:
-            raise ValueError(f"radius must lie in (0, 1], got {r}")
-        nu, p = self.cfg.nu, self._power
-        if r <= 1.0 - self.epsilon:
-            return r**p * float(_sp.jv(nu, self._k_inner * r))
-        k = self._k_annulus
-        return r**p * (
-            self.alpha * float(_sp.jv(nu, k * r))
-            + self.beta * float(_sp.yv(nu, k * r))
-        )
+        return self._at(r)[0]
 
     def derivative(self, r: float) -> float:
-        if not 0.0 < r <= 1.0:
-            raise ValueError(f"radius must lie in (0, 1], got {r}")
-        nu, p = self.cfg.nu, self._power
-        orders = (nu - 1.0, nu)
-        inner = r <= 1.0 - self.epsilon
-        k = self._k_inner if inner else self._k_annulus
-        z = k * r
-        j1, j = _sp.jv(orders, z).tolist()
-        if inner:
-            combo, combo_p = j, _derivative(j1, j, nu, z)
-        else:
-            y1, y = _sp.yv(orders, z).tolist()
-            combo = self.alpha * j + self.beta * y
-            combo_p = self.alpha * _derivative(j1, j, nu, z) + self.beta * _derivative(
-                y1, y, nu, z
-            )
-        return p * r ** (p - 1.0) * combo + r**p * k * combo_p
+        return self._at(r)[1]
 
 
 def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
@@ -752,13 +689,20 @@ def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
             f"branch point not converged: residual {point.residual:.3e} "
             f"> {DEFAULT_ROOT_TOL:.1e}"
         )
-    at = CharacteristicKernel(cfg, point.epsilon).interface(point.lam)
-    ratio = (at.a / at.b) * at.jpa
-    pref = math.pi * at.b / 2.0
-    alpha = pref * (at.ja * at.ypb - ratio * at.yb)
-    beta = pref * (ratio * at.jb - at.jpb * at.ja)
+    if cfg.N == 1:
+        raise ValueError("the Bessel kernel does not serve the interval (N = 1)")
+    a, b = wave_arguments(density_params(cfg, point.epsilon), point.lam)
+    ja, jpa = _bessel_pair(_sp.jv, cfg.nu, a)
+    jb, jpb = _bessel_pair(_sp.jv, cfg.nu, b)
+    yb, ypb = _bessel_pair(_sp.yv, cfg.nu, b)
+    ratio = (a / b) * jpa
+    pref = math.pi * b / 2.0
     return RadialProfile(
-        cfg=cfg, epsilon=point.epsilon, lam=point.lam, alpha=alpha, beta=beta
+        cfg=cfg,
+        epsilon=point.epsilon,
+        lam=point.lam,
+        alpha=pref * (ja * ypb - ratio * yb),
+        beta=pref * (ratio * jb - jpb * ja),
     )
 
 

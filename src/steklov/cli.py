@@ -319,17 +319,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     for fams in results:  # already ordered by l; scan index orders within
         for fam in fams:
             _branch.write_points_csv(fam["points"], os.path.join(args.out, fam["file"]))
-            manifest["families"].append(
-                {
-                    "file": fam["file"],
-                    "l": fam["l"],
-                    "kind": fam["kind"],
-                    "anchor_lambda": fam["anchor_lambda"],
-                    "slope_at_zero": fam["slope_at_zero"],
-                    "truncated": fam["truncated"],
-                    "points": len(fam["points"]),
-                }
-            )
+            manifest["families"].append({**fam, "points": len(fam["points"])})
     _branch.write_fresh(os.path.join(args.out, "manifest.json"), _json(manifest))
     _prune_stale_families(args.out, {fam["file"] for fam in manifest["families"]})
     return 0
@@ -353,6 +343,21 @@ def _prune_stale_families(out: str, listed: set[str]) -> None:
                 os.unlink(entry.path)
 
 
+def _excited_config(args: argparse.Namespace) -> ProblemConfig:
+    """The configuration of a command that needs a positive eigenvalue.
+
+    The l = 0 branch is the principal eigenvalue lambda = 0 at every eps:
+    it has no shooting bracket, remainder or eigenfunction to compute.
+    """
+    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    if cfg.l == 0:
+        raise UsageError(
+            f"{args.command} needs l >= 1: the l = 0 branch is the principal "
+            "eigenvalue lambda = 0 at every eps"
+        )
+    return cfg
+
+
 def _point_at(cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
     steps = max(4, int(math.ceil(eps / 0.05)))
     table = _branch.continue_branch(cfg, eps, steps)
@@ -362,7 +367,7 @@ def _point_at(cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
-    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    cfg = _excited_config(args)
     eps_list = args.eps or [0.01, 0.05, 0.1, 0.3]
     tol = 1e-8
     rows = []
@@ -437,7 +442,7 @@ def _cmd_verify_crossprod(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_remainder(args: argparse.Namespace) -> int:
-    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    cfg = _excited_config(args)
     anchor = steklov_eigenvalue(cfg)
     n = args.points
     if n < 2:
@@ -467,7 +472,7 @@ def _cmd_verify_remainder(args: argparse.Namespace) -> int:
 
 
 def _cmd_eigenfunction(args: argparse.Namespace) -> int:
-    cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
+    cfg = _excited_config(args)
     n = args.samples
     if n < 1:
         raise UsageError(f"--samples must be >= 1, got {n}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath as mp
@@ -225,6 +226,36 @@ def test_kernel_rejects_one_dimension_and_nonpositive_lambda():
         kernel(0.0)
     with pytest.raises(ValueError):
         kernel(np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "lam", [2.0, np.array([1.0, 2.0, 3.0])], ids=["float", "ndarray"]
+)
+def test_kernel_call_is_one_pass(monkeypatch, lam):
+    """One call: one wave_arguments, one jv and one yv evaluation."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    kernel = CharacteristicKernel(CFG_DISC, 0.1)
+    expected = kernel(lam)
+    monkeypatch.setattr(
+        branch, "wave_arguments", counted("wave_arguments", branch.wave_arguments)
+    )
+    monkeypatch.setattr(
+        branch,
+        "_sp",
+        SimpleNamespace(jv=counted("jv", special.jv), yv=counted("yv", special.yv)),
+    )
+    value, scale = kernel(lam)
+    assert sorted(calls) == ["jv", "wave_arguments", "yv"]
+    assert np.array(value).tobytes() == np.array(expected[0]).tobytes()
+    assert np.array(scale).tobytes() == np.array(expected[1]).tobytes()
 
 
 def test_find_root_requires_sign_change():
@@ -723,6 +754,15 @@ def test_radial_profile_inner_power_law():
         assert ratio == pytest.approx(2.0**l, rel=1e-3)
 
 
+def test_radial_profile_is_finite_near_the_centre_at_high_order():
+    """Y_99 overflows near r = 0; the inner region must never form it."""
+    cfg = ProblemConfig(N=2, M=math.pi, l=100)
+    prof = radial_profile(cfg, continue_branch(cfg, 0.05, 4).points[-1])
+    for i in range(1, 513):
+        r = i / 512
+        assert math.isfinite(prof.value(r)) and math.isfinite(prof.derivative(r)), r
+
+
 def test_radial_profile_rejects_unconverged_point():
     bad = BranchPoint(epsilon=0.2, lam=2.5, residual=1.0, l=1, N=2, M=math.pi)
     with pytest.raises(ValueError, match="not converged"):
@@ -732,7 +772,7 @@ def test_radial_profile_rejects_unconverged_point():
 def test_radial_profile_rejects_one_dimension():
     bad_cfg = ProblemConfig(N=1, M=2.0, l=1)
     pt = BranchPoint(epsilon=0.2, lam=1.0, residual=0.0, l=1, N=1, M=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interval"):
         radial_profile(bad_cfg, pt)
 
 

@@ -572,6 +572,41 @@ def test_oracle_compare_small_eigenvalues(capsys, N, M, l):
     assert payload["max_rel_diff"] <= 1e-10
 
 
+@pytest.mark.parametrize("N", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-compare", "--M", "pi", "--l", "0"],
+        ["verify-remainder", "--M", "4pi", "--l", "0"],
+        ["eigenfunction", "--M", "pi", "--l", "0", "--eps", "0.2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_principal_branch_is_refused_up_front(tmp_path, capsys, argv, N):
+    out = tmp_path / "out"
+    assert cli.main(argv[:1] + ["--N", N] + argv[1:] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["message"] == (
+        f"{argv[0]} needs l >= 1: the l = 0 branch is the principal eigenvalue "
+        "lambda = 0 at every eps"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("N", ["1", "2", "3"])
+def test_principal_branch_slope_and_branch_print_zeros(capsys, N):
+    cfg = ["--N", N, "--M", "pi", "--l", "0"]
+    assert cli.main(["slope", *cfg, "--eps", "0.01,0.001"]) == 0
+    assert capsys.readouterr().out == (
+        "epsilon,quotient,formula\n0.01,0.0,0.0\n0.001,0.0,0.0\n"
+    )
+    assert cli.main(["branch", *cfg, "--eps-max", "0.5", "--steps", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "epsilon,lambda,residual\n0.25,0.0,0.0\n0.5,0.0,0.0\n"
+    )
+
+
 def test_spectrum_out_file_round_trip(tmp_path):
     out = tmp_path / "spectrum.csv"
     proc = run_cli("spectrum", "--N", "2", "--M", "pi", "--l-max", "3", "--out", str(out))
