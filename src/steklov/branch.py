@@ -21,12 +21,11 @@ kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import stat
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
@@ -34,7 +33,7 @@ from scipy import special as _sp
 
 from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig, density_params, wave_arguments
-from .roots import shrink_bracket
+from .roots import _MAX_STEPS, newton_step, shrink_bracket
 from .spectrum import SteklovEigenvalue, steklov_eigenvalue
 
 __all__ = [
@@ -62,10 +61,10 @@ __all__ = [
 # acceptance bound on |F|/scale at a root (find_root, radial_profile)
 DEFAULT_ROOT_TOL = 1e-11
 
-# bracket scan resolution and expansion schedule for the corrector
-_SCAN_POINTS = 25
-_EXPANSIONS = 4
+# step halvings before trace_family gives a family up
 _MAX_HALVINGS = 10
+# relative size of a corrector step at float64 F's noise floor (see README)
+_NOISE_FLOOR = 1e-9
 # lower end of scan_roots' lambda grid; a figure window must reach above it
 SCAN_LAM_MIN = 1e-3
 
@@ -108,13 +107,13 @@ class CharacteristicKernel:
     """F(lambda, eps) and its scale at one (cfg, eps) of the ball in R^N.
 
     F = (1 - N/2) P1(a, b) + (b/(1-eps)) P2(a, b), see the module docstring.
-    Calling the kernel with lambda returns (F, scale), where scale is the
-    largest attainable magnitude of F's constituent terms. lambda may be
+    Calling the kernel with lambda returns (F, scale), scale the largest
+    attainable magnitude of F's terms; with_slope adds dF/dlambda. lambda may be
 
-    - a float: floats come back (window points, root iteration);
+    - a float: floats come back (corrector and root iterates);
     - an ndarray: arrays come back, every F bitwise equal to the float
-      call's (bracket windows, root scans; the scale may differ in the
-      last bit, math.hypot and np.hypot round on their own).
+      call's (root scans; the scale may differ in the last bit,
+      math.hypot and np.hypot round on their own).
 
     The density at eps is computed once, when the kernel is built (so an
     eps outside (0, 1) or a non-positive annulus density fails there).
@@ -139,6 +138,16 @@ class CharacteristicKernel:
         self._orders = np.array([[self._nu - 1.0], [self._nu]])
 
     def __call__(self, lam):
+        value, _, scale = self.with_slope(lam)
+        return value, scale
+
+    def with_slope(self, lam):
+        """(F, dF/dlambda, scale) from the one evaluation __call__ makes.
+
+        a, b and c scale as sqrt(lambda), so lambda F_lambda = D F / 2 with
+        D = a d/da + b d/db + c d/dc. By the Bessel equation D C = z C',
+        D C' = -C' - (z - nu^2/z) C and D (a J'(a)) = -(a^2 - nu^2) J(a).
+        """
         a, b = wave_arguments(self._density, lam)
         c = b / (1.0 - self.epsilon)
         nu, w1 = self._nu, self._w1
@@ -155,11 +164,20 @@ class CharacteristicKernel:
         (yb1, yc1), (yb, yc) = Y
         jpb, ypb = _derivative(jb1, jb, nu, b), _derivative(yb1, yb, nu, b)
         jpc, ypc = _derivative(jc1, jc, nu, c), _derivative(yc1, yc, nu, c)
-        ratio = (a / b) * _derivative(ja1, ja, nu, a)
+        jpa = _derivative(ja1, ja, nu, a)
+        ratio = (a / b) * jpa
         # P1: value cross-products at (b, b/(1-eps)); P2: derivative versions
-        p1 = ja * (ypb * jc - jpb * yc) + ratio * (jb * yc - yb * jc)
-        p2 = ja * (ypb * jpc - jpb * ypc) + ratio * (jb * ypc - yb * jpc)
+        x1, x2 = ypb * jc - jpb * yc, jb * yc - yb * jc
+        x3, x4 = ypb * jpc - jpb * ypc, jb * ypc - yb * jpc
+        p1, p2 = ja * x1 + ratio * x2, ja * x3 + ratio * x4
         value = w1 * p1 + c * p2
+        gb, gc = b - nu * nu / b, c - nu * nu / c
+        d_ratio = -(a * a - nu * nu) * ja / b - ratio
+        dp1 = a * jpa * x1 + ja * (gb * x2 + c * x3 - x1)
+        dp1 += d_ratio * x2 + ratio * (c * x4 - b * x1)
+        dp2 = a * jpa * x3 + ja * (gb * x4 - gc * x1 - 2.0 * x3)
+        dp2 += d_ratio * x4 - ratio * (b * x3 + x4 + gc * x2)
+        slope = (w1 * dp1 + c * (p2 + dp2)) / (2.0 * lam)
         # The scale makes residuals meaningful: at a root the weighted
         # summands cancel, so |F|/scale is the natural convergence measure.
         # Each summand is a cross-product <(Y', -J')(b), (J, Y)(c)> whose
@@ -172,7 +190,7 @@ class CharacteristicKernel:
         # four weight-times-modulus products factor into two maxima.
         outer = maximum(abs(w1) * hypot(jc, yc), c * hypot(jpc, ypc))
         inner = maximum(abs(ja) * hypot(jpb, ypb), abs(ratio) * hypot(jb, yb))
-        return value, maximum(outer * inner, 1e-300)
+        return value, slope, maximum(outer * inner, 1e-300)
 
 
 class IntervalKernel:
@@ -203,19 +221,28 @@ class IntervalKernel:
         self._rho = cfg.M / (2.0 * epsilon) - 1.0 + epsilon
 
     def __call__(self, lam):
+        value, _, scale = self.with_slope(lam)
+        return value, scale
+
+    def with_slope(self, lam):
+        """(F, dF/dlambda, scale); k1, k2 scale as sqrt(lambda), as a, b do."""
         if isinstance(lam, np.ndarray):
-            pairs = [self(x) for x in lam.tolist()]
-            return tuple(np.array(col) for col in zip(*pairs))
+            triples = [self.with_slope(x) for x in lam.tolist()]
+            return tuple(np.array(col) for col in zip(*triples))
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam}")
         eps = self.epsilon
         k1, k2 = math.sqrt(lam * eps), math.sqrt(lam * self._rho)
-        inner = k1 * (1.0 - eps)
+        inner, outer = k1 * (1.0 - eps), k2 * eps
         if self._odd:
             p, q = k1 * math.cos(inner), -k2 * math.sin(inner)
         else:
             p, q = k1 * math.sin(inner), k2 * math.cos(inner)
-        return p * math.cos(k2 * eps) + q * math.sin(k2 * eps), max(abs(p), abs(q))
+        co, so = math.cos(outer), math.sin(outer)
+        value = p * co + q * so
+        # d/d(inner) takes (p, q) to (q k1/k2, -p k2/k1) in both parities
+        d = inner * (q * k1 / k2 * co - p * k2 / k1 * so) + outer * (q * co - p * so)
+        return value, (value + d) / (2.0 * lam), max(abs(p), abs(q))
 
 
 def _truncated_coefficients(cfg: ProblemConfig, lam, num=float):
@@ -410,8 +437,8 @@ def remainder_scaling(
 # root finding and continuation
 
 
-def _char_fn(cfg: ProblemConfig, epsilon: float) -> Callable:
-    """(F, scale) at one (cfg, eps) for a float or an ndarray of lambdas."""
+def _char_fn(cfg: ProblemConfig, epsilon: float):
+    """The kernel at one (cfg, eps), for a float or an ndarray of lambdas."""
     return (IntervalKernel if cfg.N == 1 else CharacteristicKernel)(cfg, epsilon)
 
 
@@ -420,36 +447,44 @@ def find_root(
     epsilon: float,
     bracket: tuple[float, float],
     *,
-    _known: tuple[float, float] | None = None,
+    _known: tuple[tuple, tuple] | None = None,
 ) -> BranchPoint:
     """The root in a sign-changing bracket, residual-checked.
 
-    shrink_bracket narrows the bracket to adjacent floats across which F
-    changes sign (or to an exact zero); the root is the end with the
-    smaller |F|/scale, accepted only when that is at most DEFAULT_ROOT_TOL.
-    (F, scale) is cached per lambda, so no lambda is evaluated twice in one
-    call. _known, passed by the window and scan callers in this module, is
-    F at (lo, hi) as the kernel returned it there; an end is then evaluated
-    only if it also ends the final bracket.
+    shrink_bracket narrows the bracket, by Newton steps on with_slope, to
+    adjacent floats across which F changes sign (or to an exact zero); the
+    root is the end with the smaller |F|/scale, accepted only when that is
+    at most DEFAULT_ROOT_TOL. _known, from the corrector and scan_roots, is
+    with_slope at (lo, hi), so no lambda is evaluated twice in one call.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
-    fn = functools.cache(_char_fn(cfg, epsilon))
-    f_lo, f_hi = (fn(lo)[0], fn(hi)[0]) if _known is None else _known
-    if f_lo * f_hi > 0:
-        raise BracketError(
-            f"no sign change on [{lo}, {hi}] at eps={epsilon} "
-            f"(F={f_lo:.3e} and {f_hi:.3e})"
-        )
-    ends = shrink_bracket(lambda x: fn(x)[0], lo, hi, f_lo, f_hi)
-    residual, root = min((abs(fn(x)[0]) / fn(x)[1], x) for x in ends)
-    if residual > DEFAULT_ROOT_TOL:
-        raise IterationLimitError(
-            f"residual {residual:.3e} above tolerance {DEFAULT_ROOT_TOL:.1e} at "
-            f"eps={epsilon}, lambda={root}",
-            best=root,
-        )
+    fn = _char_fn(cfg, epsilon)
+    seen = dict(zip(bracket, _known or (fn.with_slope(lo), fn.with_slope(hi))))
+    f_lo, f_hi = seen[lo][0], seen[hi][0]
+
+    def f(x):
+        seen[x] = fn.with_slope(x)
+        return seen[x][:2]
+
+    try:
+        if f_lo * f_hi > 0:
+            raise BracketError(
+                f"no sign change on [{lo}, {hi}] at eps={epsilon} "
+                f"(F={f_lo:.3e} and {f_hi:.3e})"
+            )
+        ends = shrink_bracket(f, lo, hi, seen[lo][:2], seen[hi][:2])
+        residual, root = min((abs(seen[x][0]) / seen[x][2], x) for x in ends)
+        if residual > DEFAULT_ROOT_TOL:
+            raise IterationLimitError(
+                f"residual {residual:.3e} above tolerance {DEFAULT_ROOT_TOL:.1e} "
+                f"at eps={epsilon}, lambda={root}",
+                best=root,
+            )
+    except (BracketError, IterationLimitError) as exc:
+        exc.context.update(N=cfg.N, M=cfg.M, l=cfg.l, eps=epsilon, bracket=[lo, hi])
+        raise
     return BranchPoint(
         epsilon=epsilon, lam=root, residual=residual, l=cfg.l, N=cfg.N, M=cfg.M
     )
@@ -461,37 +496,32 @@ def _bracketed_root_near(
     prediction: float,
     half_width: float,
 ) -> BranchPoint | None:
-    """Solve the sign change nearest the prediction in a widening window.
+    """Newton from the prediction until two iterates straddle a root.
 
-    _SCAN_POINTS equispaced points split [prediction - w, prediction + w]
-    (lo clipped at 1e-10) into cells, visited by the distance of their
-    midpoint to the prediction, then by their lower end. The first cell
-    whose ends change sign, or whose lower end is a root, goes to
-    find_root with its known end values. Each point is one scalar kernel
-    call, made when its first cell is reached, so a window without a
-    sign change costs _SCAN_POINTS calls; it then widens by sqrt(2), at
-    most _EXPANSIONS times.
+    The first two consecutive iterates across which F changes sign (or at
+    which it vanishes) go to find_root with the values already in hand.
+    None, so that trace_family halves its step, when an iterate leaves
+    (0, inf) or half_width of the prediction, when the slope vanishes,
+    after _MAX_STEPS iterates, or when a step above _NOISE_FLOOR times
+    lambda is more than half the one before it (a contraction-rate bound
+    as in Allgower & Georg, SIAM 2003): Newton would then crawl toward F's
+    zero at lambda = 0 or down F's tail away from a root.
     """
     fn = _char_fn(cfg, epsilon)
-    w = half_width
-    for _ in range(_EXPANSIONS):
-        lo = max(prediction - w, 1e-10)
-        hi = prediction + w
-        xs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
-        cells = sorted(
-            range(_SCAN_POINTS - 1),
-            key=lambda i: (abs(0.5 * (xs[i] + xs[i + 1]) - prediction), xs[i]),
-        )
-        vals: dict[int, float] = {}
-        for i in cells:
-            for j in (i, i + 1):
-                if j not in vals:
-                    vals[j] = fn(xs[j])[0]
-            if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-                return find_root(
-                    cfg, epsilon, (xs[i], xs[i + 1]), _known=(vals[i], vals[i + 1])
-                )
-        w *= math.sqrt(2.0)
+    x, prev, last = prediction, None, math.inf
+    for _ in range(_MAX_STEPS):
+        if not (x > 0.0 and abs(x - prediction) <= half_width):
+            return None
+        value, slope, _ = here = fn.with_slope(x)
+        if prev is not None and (value == 0.0 or (value < 0.0) != (prev[1][0] < 0.0)):
+            (lo, f_lo), (hi, f_hi) = sorted([prev, (x, here)])
+            return find_root(cfg, epsilon, (lo, hi), _known=(f_lo, f_hi))
+        if not slope:
+            return None
+        step = newton_step(x, value, slope)
+        if abs(step - x) > max(0.5 * last, _NOISE_FLOOR * x):
+            return None
+        x, prev, last = step, (x, here), abs(step - x)
     return None
 
 
@@ -507,7 +537,7 @@ def trace_family(
 
     Walks eps_values (monotone, either direction) from start = (eps, lam);
     each step predicts linearly with the latest secant slope (slope0 seeds
-    the first step), brackets around the prediction and corrects with
+    the first step) and corrects by Newton, bracketing the root for
     find_root. Bracket failure halves the step toward the target up to 10
     times. Returns (points at the requested eps values, truncated flag);
     truncated is set when the family is lost or leaves (0, lam_max].
@@ -592,20 +622,18 @@ def scan_roots(
 ) -> list[BranchPoint]:
     """All roots of the characteristic in (lam_min, lam_max) at fixed eps.
 
-    Uniform sign scan (one batched kernel call), then find_root on each
+    Uniform sign scan (one batched with_slope call), then find_root on each
     sign-changing cell, which reuses the sampled values at the cell ends;
     used to seed the divergent families that have no eps -> 0 anchor.
     """
     fn = _char_fn(cfg, epsilon)
     xs = [lam_min + (lam_max - lam_min) * i / samples for i in range(samples + 1)]
-    vals = fn(np.array(xs))[0].tolist()
+    ends = list(zip(*(col.tolist() for col in fn.with_slope(np.array(xs)))))
     roots: list[BranchPoint] = []
     for i in range(samples):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
+        if ends[i][0] == 0.0 or ends[i][0] * ends[i + 1][0] < 0:
             roots.append(
-                find_root(
-                    cfg, epsilon, (xs[i], xs[i + 1]), _known=(vals[i], vals[i + 1])
-                )
+                find_root(cfg, epsilon, (xs[i], xs[i + 1]), _known=ends[i : i + 2])
             )
     return roots
 
@@ -626,7 +654,8 @@ def slope_estimate(
     for e in eps_list:
         table = continue_branch(cfg, e, 1)
         if table.truncated or not table.points:
-            raise BracketError(f"branch lost on the way to eps={e}")
+            where = dict(N=cfg.N, M=cfg.M, l=cfg.l, eps=e)
+            raise BracketError(f"branch lost on the way to eps={e}", **where)
         out.append((float(e), (table.points[0].lam - table.anchor.value) / e))
     return out
 

@@ -11,7 +11,8 @@ take --format csv|json.
 Exit codes: 0 on success, 2 for flag or domain errors, 3 for numerical
 failures (lost brackets, gate violations). Failures emit one JSON object
 {"code", "message", "context"} on stderr, the context holding the command
-and its argv. All CSV output uses repr float formatting, so identical
+and its argv, and for a lost or unconverged root also N, M, l, eps and the
+bracket. All CSV output uses repr float formatting, so identical
 invocations produce byte-identical files.
 """
 
@@ -362,7 +363,8 @@ def _point_at(cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
     steps = max(4, int(math.ceil(eps / 0.05)))
     table = _branch.continue_branch(cfg, eps, steps)
     if table.truncated or not table.points:
-        raise BracketError(f"branch lost before eps={eps}")
+        lost = f"branch lost before eps={eps}"
+        raise BracketError(lost, N=cfg.N, M=cfg.M, l=cfg.l, eps=eps)
     return table.points[-1]
 
 
@@ -586,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (BracketError, IterationLimitError, VerificationFailure) as exc:
-        return _fail(3, str(exc), context)
+        return _fail(3, str(exc), {**context, **getattr(exc, "context", {})})
     except ValueError as exc:  # UsageError included
         return _fail(2, str(exc), context)
     except OSError as exc:  # an --out that cannot be written

@@ -10,15 +10,20 @@ __all__ = [
 
 
 class BracketError(ValueError):
-    """The supplied interval does not bracket a sign change."""
+    """No sign change; context (N, M, l, eps, bracket) goes to cli's report."""
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        self.context = context
 
 
 class IterationLimitError(RuntimeError):
-    """Root iteration hit its cap; carries the best iterate found."""
+    """Root iteration hit its cap; carries the best iterate and a context."""
 
-    def __init__(self, message: str, best: float | None = None):
+    def __init__(self, message: str, best: float | None = None, **context):
         super().__init__(message)
         self.best = best
+        self.context = context
 
 
 class UnsupportedOrderError(ValueError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -149,7 +150,12 @@ def test_unreachable_tolerance_is_numerical_failure(tmp_path, monkeypatch, capsy
     payload = json.loads(capsys.readouterr().err)
     assert payload["code"] == 3
     assert "above tolerance 1.0e-30" in payload["message"]
-    assert payload["context"] == {"command": "branch", "argv": argv}
+    context = payload["context"]
+    lo, hi = context.pop("bracket")
+    assert 0.0 < lo < hi
+    assert context == {
+        "command": "branch", "argv": argv, "N": 2, "M": math.pi, "l": 1, "eps": 0.025
+    }
     assert not out.exists()
     assert not out.with_suffix(".json").exists()
 

@@ -77,3 +77,36 @@ def test_step_cap_raises_with_best_iterate(monkeypatch):
         shrink_bracket(f, 1.0, 2.0, -1.0, 2.0)
     assert len(calls) == 3
     assert 1.0 < info.value.best < 2.0
+
+
+def test_newton_with_its_slope_reaches_adjacent_floats_fast():
+    f, calls = _recorded(lambda x: (x * x - 2.0, 2.0 * x))
+    lo, hi = shrink_bracket(f, 1.0, 2.0, (-1.0, 2.0), (2.0, 4.0))
+    assert math.nextafter(lo, math.inf) == hi
+    assert lo * lo - 2.0 < 0.0 < hi * hi - 2.0
+    assert len(calls) <= 6
+    assert len(set(calls)) == len(calls)
+    assert all(1.0 < x < 2.0 for x in calls)
+
+
+@pytest.mark.parametrize(
+    "slope", [lambda x: -2.0 * x, lambda x: 0.0], ids=["wrong-sign", "zero"]
+)
+def test_a_useless_slope_falls_back_to_illinois(slope):
+    # the Newton point leaves the bracket, or there is none to take
+    f, calls = _recorded(lambda x: (x * x - 2.0, slope(x)))
+    lo, hi = shrink_bracket(f, 1.0, 2.0, (-1.0, slope(1.0)), (2.0, slope(2.0)))
+    assert math.nextafter(lo, math.inf) == hi
+    assert lo * lo - 2.0 < 0.0 < hi * hi - 2.0
+    assert len(set(calls)) == len(calls)
+    assert all(1.0 < x < 2.0 for x in calls)
+
+
+def test_step_cap_raises_with_a_slope():
+    # so steep a slope that every Newton step rounds away and moves one ulp
+    f, calls = _recorded(lambda x: (x - 1.9, 1e308))
+    with pytest.raises(IterationLimitError, match="not shrunk in 200 steps"):
+        shrink_bracket(f, 1.0, 2.0, (-0.9, 1e308), (0.1, 1e308))
+    assert len(calls) == 200
+    below = math.nextafter(2.0, 0.0)
+    assert calls[:2] == [below, math.nextafter(below, 0.0)]
