@@ -33,7 +33,7 @@ from scipy import special as _sp
 
 from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig, density_params, wave_arguments
-from .roots import _MAX_STEPS, newton_step, shrink_bracket
+from .roots import _MAX_STEPS, newton_step, opposite_signs, shrink_bracket
 from .spectrum import SteklovEigenvalue, steklov_eigenvalue
 
 __all__ = [
@@ -122,6 +122,9 @@ class CharacteristicKernel:
     (AMOS), one ufunc call each. The derivatives follow from the order
     nu-1 values by DLMF 10.6.2.
 
+    Where every term underflows (scale 0, J_nu(a) at large nu) F is NaN,
+    not the 0 they sum to: neither a zero nor a sign for any root test.
+
     The interval is refused: at nu = l - 1/2 this kernel put the
     eps = 1e-4 slope quotient of N = 1, M = 2, l = 1 2.3e-9 (relative)
     from a 50-digit root, IntervalKernel 8.7e-13.
@@ -190,7 +193,10 @@ class CharacteristicKernel:
         # four weight-times-modulus products factor into two maxima.
         outer = maximum(abs(w1) * hypot(jc, yc), c * hypot(jpc, ypc))
         inner = maximum(abs(ja) * hypot(jpb, ypb), abs(ratio) * hypot(jb, yb))
-        return value, slope, maximum(outer * inner, 1e-300)
+        scale = outer * inner
+        if isinstance(lam, np.ndarray):
+            return np.where(scale > 0.0, value, np.nan), slope, scale
+        return (value if scale else math.nan), slope, scale
 
 
 class IntervalKernel:
@@ -462,18 +468,12 @@ def find_root(
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
     fn = _char_fn(cfg, epsilon)
     seen = dict(zip(bracket, _known or (fn.with_slope(lo), fn.with_slope(hi))))
-    f_lo, f_hi = seen[lo][0], seen[hi][0]
 
     def f(x):
         seen[x] = fn.with_slope(x)
         return seen[x][:2]
 
     try:
-        if f_lo * f_hi > 0:
-            raise BracketError(
-                f"no sign change on [{lo}, {hi}] at eps={epsilon} "
-                f"(F={f_lo:.3e} and {f_hi:.3e})"
-            )
         ends = shrink_bracket(f, lo, hi, seen[lo][:2], seen[hi][:2])
         residual, root = min((abs(seen[x][0]) / seen[x][2], x) for x in ends)
         if residual > DEFAULT_ROOT_TOL:
@@ -484,6 +484,8 @@ def find_root(
             )
     except (BracketError, IterationLimitError) as exc:
         exc.context.update(N=cfg.N, M=cfg.M, l=cfg.l, eps=epsilon, bracket=[lo, hi])
+        if isinstance(exc, IterationLimitError):
+            exc.context["lambda"] = exc.best
         raise
     return BranchPoint(
         epsilon=epsilon, lam=root, residual=residual, l=cfg.l, N=cfg.N, M=cfg.M
@@ -501,11 +503,12 @@ def _bracketed_root_near(
     The first two consecutive iterates across which F changes sign (or at
     which it vanishes) go to find_root with the values already in hand.
     None, so that trace_family halves its step, when an iterate leaves
-    (0, inf) or half_width of the prediction, when the slope vanishes,
-    after _MAX_STEPS iterates, or when a step above _NOISE_FLOOR times
-    lambda is more than half the one before it (a contraction-rate bound
-    as in Allgower & Georg, SIAM 2003): Newton would then crawl toward F's
-    zero at lambda = 0 or down F's tail away from a root.
+    (0, inf) or half_width of the prediction, when the slope vanishes or
+    F is NaN (every term underflowed), after _MAX_STEPS iterates, or when
+    a step above _NOISE_FLOOR times lambda is more than half the one
+    before it (a contraction-rate bound as in Allgower & Georg, SIAM
+    2003): Newton would then crawl toward F's zero at lambda = 0 or down
+    F's tail away from a root.
     """
     fn = _char_fn(cfg, epsilon)
     x, prev, last = prediction, None, math.inf
@@ -513,10 +516,10 @@ def _bracketed_root_near(
         if not (x > 0.0 and abs(x - prediction) <= half_width):
             return None
         value, slope, _ = here = fn.with_slope(x)
-        if prev is not None and (value == 0.0 or (value < 0.0) != (prev[1][0] < 0.0)):
+        if prev is not None and (value == 0.0 or opposite_signs(value, prev[1][0])):
             (lo, f_lo), (hi, f_hi) = sorted([prev, (x, here)])
             return find_root(cfg, epsilon, (lo, hi), _known=(f_lo, f_hi))
-        if not slope:
+        if not slope or math.isnan(value):
             return None
         step = newton_step(x, value, slope)
         if abs(step - x) > max(0.5 * last, _NOISE_FLOOR * x):
@@ -631,7 +634,7 @@ def scan_roots(
     ends = list(zip(*(col.tolist() for col in fn.with_slope(np.array(xs)))))
     roots: list[BranchPoint] = []
     for i in range(samples):
-        if ends[i][0] == 0.0 or ends[i][0] * ends[i + 1][0] < 0:
+        if ends[i][0] == 0.0 or opposite_signs(ends[i][0], ends[i + 1][0]):
             roots.append(
                 find_root(cfg, epsilon, (xs[i], xs[i + 1]), _known=ends[i : i + 2])
             )

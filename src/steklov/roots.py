@@ -1,13 +1,13 @@
-"""The bracketed root solver of both eigenvalue routes (characteristic, shooting)."""
+"""The bracket rule and root solver of both routes (characteristic, shooting)."""
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Optional, Union
 
-from .errors import IterationLimitError
+from .errors import BracketError, IterationLimitError
 
-__all__ = ["newton_step", "shrink_bracket"]
+__all__ = ["newton_step", "opposite_signs", "shrink_bracket"]
 
 _MAX_STEPS = 200
 
@@ -16,6 +16,11 @@ Value = Union[float, tuple[float, Optional[float]]]  # f(x), or (f(x), f'(x) or 
 
 def _pair(value: Value) -> tuple[float, float | None]:
     return value if isinstance(value, tuple) else (value, None)
+
+
+def opposite_signs(a: float, b: float) -> bool:
+    """The one bracket test: strictly opposite signs (0 and NaN have none)."""
+    return a < 0.0 < b or b < 0.0 < a
 
 
 def newton_step(x: float, fx: float, dx: float) -> float:
@@ -45,13 +50,18 @@ def shrink_bracket(
     a step that rounds outside the open bracket becomes the midpoint.
     Returns the final bracket, either adjacent floats across which f
     changes sign or ends at most xtol apart, or (x, x) at once for an exact
-    zero x. f is called only strictly inside the current bracket;
+    zero x. f is called only strictly inside the current bracket.
+    BracketError when the ends fail opposite_signs and neither is a zero;
     IterationLimitError past _MAX_STEPS steps.
     """
     (f_lo, d_lo), (f_hi, d_hi) = _pair(f_lo), _pair(f_hi)
     if f_lo == 0.0 or f_hi == 0.0:
         x = lo if f_lo == 0.0 else hi
         return x, x
+    if not opposite_signs(f_lo, f_hi):
+        raise BracketError(
+            f"no sign change on [{lo!r}, {hi!r}] (f = {f_lo:.3e} and {f_hi:.3e})"
+        )
     x, fx, dx = (lo, f_lo, d_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, d_hi)
     kept = 0  # 1 or -1 when hi or lo stayed put on the last step
     for _ in range(_MAX_STEPS):
@@ -67,7 +77,7 @@ def shrink_bracket(
         fx, dx = _pair(f(x))
         if fx == 0.0:
             return x, x
-        if (fx < 0.0) == (f_lo < 0.0):
+        if opposite_signs(fx, f_hi):
             lo, f_lo = x, fx
             if kept == 1:
                 f_hi *= 0.5

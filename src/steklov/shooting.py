@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError
 from .model import ProblemConfig, density_params
 from .roots import shrink_bracket
 
@@ -171,8 +170,6 @@ def eigenvalue_by_shooting(
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
     shot = functools.cache(lambda lam: shoot(cfg, epsilon, lam, grid_size=grid_size))
     m_lo, m_hi = shot(lo).boundary_mismatch, shot(hi).boundary_mismatch
-    if m_lo * m_hi > 0:
-        raise BracketError(f"no mismatch sign change on [{lo}, {hi}] at eps={epsilon}")
     ends = shrink_bracket(
         lambda lam: shot(lam).boundary_mismatch, lo, hi, m_lo, m_hi, xtol=tol
     )

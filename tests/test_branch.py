@@ -304,6 +304,31 @@ def test_find_root_requires_sign_change():
         find_root(CFG_DISC, 0.01, (3.0, 3.5))
 
 
+# at eps = 0.0125, J_100(a) and J_100'(a) underflow below lambda near 100
+CFG_L100 = ProblemConfig(N=2, M=math.pi, l=100)
+
+
+def test_find_root_compares_the_signs_of_tiny_values():
+    # F is 1.7e-175 and 4.0e-174 at the ends, whose product underflows to 0
+    with pytest.raises(BracketError) as info:
+        find_root(CFG_L100, 0.0125, (150.0, 160.0))
+    assert info.value.context == {
+        "N": 2, "M": math.pi, "l": 100, "eps": 0.0125, "bracket": [150.0, 160.0]
+    }
+
+
+def test_an_underflowed_sample_is_neither_a_zero_nor_a_sign():
+    kernel = CharacteristicKernel(CFG_L100, 0.0125)
+    value, scale = kernel(0.376)
+    assert math.isnan(value) and scale == 0.0
+    values, scales = kernel(np.array([0.001, 0.376, 150.0]))
+    assert np.isnan(values[:2]).all() and values[2] > 0.0
+    assert scales.tolist()[:2] == [0.0, 0.0]
+    with pytest.raises(BracketError):
+        find_root(CFG_L100, 0.0125, (0.001, 150.0))
+    assert branch._bracketed_root_near(CFG_L100, 0.0125, 0.376, 0.1) is None
+
+
 def _reference_find_root(cfg, eps, bracket, known):
     """(root, residual) the former way: Brent, then a walk over neighbouring
     floats to the smallest |F|/scale (up to 64 each way, stopping after three
@@ -676,6 +701,13 @@ def test_scan_roots_finds_all_crossings():
     assert lams[1] == pytest.approx(102.02980242642715, rel=1e-9)
     for p in roots:
         assert p.residual <= DEFAULT_ROOT_TOL
+
+
+def test_scan_roots_skips_underflowed_samples():
+    # F = 0 where every term underflowed made roots of 0.001 and 0.376
+    roots = scan_roots(CFG_L100, 0.0125, 1500.0, samples=4000)
+    assert [p.lam for p in roots] == [pytest.approx(393.94196552250, rel=1e-12)]
+    assert roots[0].residual <= DEFAULT_ROOT_TOL
 
 
 def _prediction_cases(cfg, eps):

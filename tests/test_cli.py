@@ -152,7 +152,7 @@ def test_unreachable_tolerance_is_numerical_failure(tmp_path, monkeypatch, capsy
     assert "above tolerance 1.0e-30" in payload["message"]
     context = payload["context"]
     lo, hi = context.pop("bracket")
-    assert 0.0 < lo < hi
+    assert 0.0 < lo <= context.pop("lambda") <= hi
     assert context == {
         "command": "branch", "argv": argv, "N": 2, "M": math.pi, "l": 1, "eps": 0.025
     }
@@ -326,6 +326,19 @@ def test_figure_rejects_lambda_max_at_the_scan_floor(tmp_path, lam_max):
     assert payload["code"] == 2
     assert "--lambda-max must exceed the root-scan floor 0.001" in payload["message"]
     assert not (tmp_path / "fig").exists()
+
+
+def test_figure_seeds_no_family_where_the_kernel_underflows(tmp_path):
+    # at l = 100 every term of F underflows below lambda near 100; a scan that
+    # took the F = 0 there for a root wrote family_l100_scan1.csv at lambda 0.001
+    out = tmp_path / "fig"
+    argv = [
+        "figure", "--N", "2", "--M", "pi", "--l", "100", "--eps", "0.005..0.0125",
+        "--steps", "3", "--lambda-max", "1500", "--out", str(out),
+    ]
+    assert cli.main(argv) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["family_l100_anchored.csv", "manifest.json"]
 
 
 @pytest.mark.parametrize("lam_max", ["-1", "0", "nan", "inf"])

@@ -7,8 +7,8 @@ import math
 import pytest
 
 from steklov import roots
-from steklov.errors import IterationLimitError
-from steklov.roots import shrink_bracket
+from steklov.errors import BracketError, IterationLimitError
+from steklov.roots import opposite_signs, shrink_bracket
 
 
 def _recorded(f):
@@ -110,3 +110,19 @@ def test_step_cap_raises_with_a_slope():
     assert len(calls) == 200
     below = math.nextafter(2.0, 0.0)
     assert calls[:2] == [below, math.nextafter(below, 0.0)]
+
+
+def test_opposite_signs_is_strict():
+    assert opposite_signs(-1e-300, 1e-300) and opposite_signs(2.0, -1.0)
+    assert not opposite_signs(1e-175, 4e-174)  # the product underflows to 0
+    for a, b in [(0.0, 1.0), (-1.0, -0.0), (math.nan, 1.0), (-1.0, math.nan)]:
+        assert not opposite_signs(a, b) and not opposite_signs(b, a)
+
+
+def test_ends_of_one_sign_raise_bracket_error():
+    f, calls = _recorded(lambda x: x * x - 2.0)
+    with pytest.raises(BracketError, match="no sign change"):
+        shrink_bracket(f, 2.0, 3.0, 2.0, 7.0)
+    with pytest.raises(BracketError):
+        shrink_bracket(f, 1.0, 2.0, math.nan, 2.0)
+    assert calls == []

@@ -1,4 +1,5 @@
-"""The public surface: exported names resolve, and the per-layer tracer fits.
+"""The public surface: exported names resolve, tooling guards hold, and the
+per-layer tracer fits.
 
 perfbench/tracer.py patches module attributes by name (the command table,
 the figure loop, the branch and shooting entry points and the wave_arguments
@@ -15,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -36,9 +38,11 @@ def test_module_exports_resolve(name):
     assert not missing, missing
 
 
-def test_package_exports_resolve():
-    missing = [n for n in steklov.__all__ if not hasattr(steklov, n)]
-    assert not missing, missing
+def test_package_is_imported_by_module():
+    import steklov.bessel as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m is sys.modules["steklov.bessel"]
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -97,6 +101,28 @@ def test_one_file_writer():
     assert writers == ["branch.write_fresh"]
 
 
+def _is_product(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+
+def _is_zero(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 0
+
+
+def test_no_sign_test_by_product():
+    # f_lo * f_hi > 0 underflows to 0 for tiny values of one sign; brackets are
+    # tested by roots.opposite_signs, which compares signs
+    src = Path(steklov.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_product, operands)) and any(map(_is_zero, operands)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 @pytest.fixture
 def tracer_module(monkeypatch):
     monkeypatch.syspath_prepend(str(_PERFBENCH))
@@ -105,7 +131,6 @@ def tracer_module(monkeypatch):
 
 
 def _traced_modules():
-    # by module path: the package attribute ``steklov.bessel`` is the function
     return tuple(
         importlib.import_module(f"steklov.{name}")
         for name in ("cli", "branch", "shooting", "crossprod", "bessel", "model")
