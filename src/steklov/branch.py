@@ -27,13 +27,14 @@ import stat
 from dataclasses import dataclass
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 from scipy import special as _sp
 
 from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig, density_params, wave_arguments
-from .roots import _MAX_STEPS, newton_step, opposite_signs, shrink_bracket
+from .roots import (
+    _MAX_STEPS, add_failure_context, newton_step, opposite_signs, shrink_bracket
+)
 from .spectrum import SteklovEigenvalue, steklov_eigenvalue
 
 __all__ = [
@@ -320,6 +321,8 @@ def _taylor_step(nu, z, h):
     fall below 2^-(prec+10); IterationLimitError past _MAX_SERIES_TERMS.
     ``crossprod._propagator_forms`` runs the same recurrence on exact forms.
     """
+    import mpmath as mp
+
     tiny = mp.ldexp(1, -(mp.mp.prec + 10))
     tiny_slope = tiny * abs(h)
     u = h / z
@@ -418,6 +421,8 @@ def remainder_scaling(
     for e in eps_grid:
         if not 0.0 < e < 0.2:
             raise ValueError(f"eps grid entries must lie in (0, 0.2), got {e}")
+    import mpmath as mp
+
     out: list[tuple[float, float]] = []
     nu, w1 = cfg.nu, 1.0 - cfg.N / 2.0
     with mp.workprec(136):
@@ -483,9 +488,7 @@ def find_root(
                 best=root,
             )
     except (BracketError, IterationLimitError) as exc:
-        exc.context.update(N=cfg.N, M=cfg.M, l=cfg.l, eps=epsilon, bracket=[lo, hi])
-        if isinstance(exc, IterationLimitError):
-            exc.context["lambda"] = exc.best
+        add_failure_context(exc, cfg, epsilon, bracket)
         raise
     return BranchPoint(
         epsilon=epsilon, lam=root, residual=residual, l=cfg.l, N=cfg.N, M=cfg.M

@@ -6,7 +6,10 @@ verification suites (cross-product identities, remainder scaling, the
 Bessel-vs-shooting oracle comparison, eigenfunction matching).
 
 Each handler reads the parsed argparse namespace. `spectrum` and `slope`
-take --format csv|json.
+take --format csv|json. A handler imports branch, shooting or crossprod
+(and with them numpy, scipy and mpmath) itself, after its own refusals,
+so `spectrum`, a flag error and a refused N, M or l start without them;
+only `verify-remainder` loads mpmath.
 
 Exit codes: 0 on success, 2 for flag or domain errors, 3 for numerical
 failures (lost brackets, gate violations). Failures emit one JSON object
@@ -25,13 +28,14 @@ import os
 import re
 import stat
 import sys
+from typing import TYPE_CHECKING
 
-from . import branch as _branch
-from . import crossprod as _cp
-from . import shooting as _sh
 from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig
 from .spectrum import steklov_eigenvalue
+
+if TYPE_CHECKING:
+    from .branch import BranchPoint
 
 __all__ = ["main"]
 
@@ -134,6 +138,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
+        from . import branch as _branch
+
         _branch.write_fresh(out, text)
 
 
@@ -181,6 +187,8 @@ def _cmd_branch(args: argparse.Namespace) -> int:
                 f"--out {args.out} is also the path of its JSON sidecar; "
                 "give the CSV another extension"
             )
+    from . import branch as _branch
+
     table = _branch.continue_branch(cfg, args.eps_max, args.steps, lam_max=args.lam_max)
     if args.out is None:
         rows = [(p.epsilon, p.lam, p.residual) for p in table.points]
@@ -205,6 +213,8 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     cfg = ProblemConfig(N=args.N, M=args.M, l=args.l)
     eps_list = args.eps or [1e-2, 1e-3, 1e-4]
     anchor = steklov_eigenvalue(cfg)
+    from . import branch as _branch
+
     quotients = _branch.slope_estimate(cfg, eps_list)
     rows = [(e, q, anchor.slope) for e, q in quotients]
     if args.fmt == "json":
@@ -222,6 +232,8 @@ def _trace_figure_l(
     cfg: ProblemConfig, grid: list[float], lam_max: float
 ) -> list[dict]:
     """All families of one angular index inside the lambda window."""
+    from . import branch as _branch
+
     families: list[dict] = []
     anchored_end: float | None = None
     if cfg.l >= 1:
@@ -289,14 +301,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     n = args.steps
     if n < 2:
         raise UsageError(f"--steps must be >= 2 to span the eps range, got {n}")
+    cfgs = [
+        ProblemConfig(N=args.N, M=args.M, l=l) for l in range(args.l[0], args.l[1] + 1)
+    ]
+    from . import branch as _branch
+
     floor = _branch.SCAN_LAM_MIN
     if not args.lam_max > floor:
         raise UsageError(
             f"--lambda-max must exceed the root-scan floor {floor}, got {args.lam_max}"
         )
-    cfgs = [
-        ProblemConfig(N=args.N, M=args.M, l=l) for l in range(args.l[0], args.l[1] + 1)
-    ]
     # an --out that cannot be a directory fails here, before any tracing;
     # a run that fails while tracing removes the directory it made
     made = not os.path.isdir(args.out)
@@ -359,7 +373,9 @@ def _excited_config(args: argparse.Namespace) -> ProblemConfig:
     return cfg
 
 
-def _point_at(cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
+def _point_at(cfg: ProblemConfig, eps: float) -> BranchPoint:
+    from . import branch as _branch
+
     steps = max(4, int(math.ceil(eps / 0.05)))
     table = _branch.continue_branch(cfg, eps, steps)
     if table.truncated or not table.points:
@@ -371,6 +387,8 @@ def _point_at(cfg: ProblemConfig, eps: float) -> _branch.BranchPoint:
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     cfg = _excited_config(args)
     eps_list = args.eps or [0.01, 0.05, 0.1, 0.3]
+    from . import shooting as _sh
+
     tol = 1e-8
     rows = []
     worst = 0.0
@@ -405,6 +423,8 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_crossprod(args: argparse.Namespace) -> int:
+    from . import crossprod as _cp
+
     nus = [k / 2.0 for k in range(0, 11)]
     zs = [0.5, 1.0, 2.0, 5.0, 10.0]
     worst_closed = 0.0
@@ -449,6 +469,8 @@ def _cmd_verify_remainder(args: argparse.Namespace) -> int:
     n = args.points
     if n < 2:
         raise UsageError(f"--points must be >= 2 for the log-log fit, got {n}")
+    from . import branch as _branch
+
     grid = [10.0 ** (-5.0 + 3.0 * i / (n - 1)) for i in range(n)]
     data = _branch.remainder_scaling(cfg, anchor.value, grid)
     xs = [math.log(e) for e, _ in data]
@@ -478,6 +500,8 @@ def _cmd_eigenfunction(args: argparse.Namespace) -> int:
     n = args.samples
     if n < 1:
         raise UsageError(f"--samples must be >= 1, got {n}")
+    from . import branch as _branch
+
     pt = _point_at(cfg, args.eps)
     prof = _branch.radial_profile(cfg, pt)
     rows = []

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ProblemConfig",
     "DensityParams",
@@ -170,19 +168,27 @@ def wave_arguments(density: DensityParams, lam):
     mpmath mpf eps, an mpf (a and b are then computed at the working
     precision).
     """
-    positive = lam > 0
-    if isinstance(positive, np.ndarray):
-        if not positive.all():
-            raise ValueError(
-                f"lambda must be positive, got {lam[~positive].min()} "
-                f"(smallest offender among {lam.size} values)"
-            )
-    elif not positive:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    # math.sqrt keeps float results plain floats, and the float path imports
+    # nothing; np.sqrt covers ndarrays and defers to mpf.sqrt (both round
+    # the square root correctly)
+    if isinstance(lam, (int, float)):
+        if not lam > 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        sqrt = math.sqrt
+    else:
+        import numpy as np
+
+        positive = lam > 0
+        if isinstance(positive, np.ndarray):
+            if not positive.all():
+                raise ValueError(
+                    f"lambda must be positive, got {lam[~positive].min()} "
+                    f"(smallest offender among {lam.size} values)"
+                )
+        elif not positive:
+            raise ValueError(f"lambda must be positive, got {lam}")
+        sqrt = np.sqrt
     epsilon = density.epsilon
-    # np.sqrt covers ndarrays and defers to mpf.sqrt; math.sqrt keeps
-    # float results plain floats (both round the square root correctly)
-    sqrt = math.sqrt if isinstance(lam, (int, float)) else np.sqrt
     a = sqrt(lam * epsilon) * (1.0 - epsilon)
     b = sqrt(lam * density.rho_annulus) * (1.0 - epsilon)
     return a, b

@@ -6,8 +6,9 @@ import math
 from typing import Callable, Optional, Union
 
 from .errors import BracketError, IterationLimitError
+from .model import ProblemConfig
 
-__all__ = ["newton_step", "opposite_signs", "shrink_bracket"]
+__all__ = ["add_failure_context", "newton_step", "opposite_signs", "shrink_bracket"]
 
 _MAX_STEPS = 200
 
@@ -21,6 +22,19 @@ def _pair(value: Value) -> tuple[float, float | None]:
 def opposite_signs(a: float, b: float) -> bool:
     """The one bracket test: strictly opposite signs (0 and NaN have none)."""
     return a < 0.0 < b or b < 0.0 < a
+
+
+def add_failure_context(
+    exc: BracketError | IterationLimitError,
+    cfg: ProblemConfig,
+    epsilon: float,
+    bracket: tuple[float, float],
+) -> None:
+    """Put N, M, l, eps and the bracket (and lambda, the best iterate of an
+    IterationLimitError) into the context of a failed root solve."""
+    exc.context.update(N=cfg.N, M=cfg.M, l=cfg.l, eps=epsilon, bracket=list(bracket))
+    if isinstance(exc, IterationLimitError):
+        exc.context["lambda"] = exc.best
 
 
 def newton_step(x: float, fx: float, dx: float) -> float:

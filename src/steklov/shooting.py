@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ProblemConfig, density_params
-from .roots import shrink_bracket
+from .errors import BracketError, IterationLimitError
+from .roots import add_failure_context, shrink_bracket
 
 __all__ = ["ShootingResult", "shoot", "eigenvalue_by_shooting"]
 
@@ -163,14 +164,20 @@ def eigenvalue_by_shooting(
 ) -> ShootingResult:
     """The shot at the end of the final bracket with the smaller |mismatch|.
 
-    shrink_bracket stops once the ends are at most tol apart.
+    shrink_bracket stops once the ends are at most tol apart. Its
+    BracketError or IterationLimitError carries N, M, l, eps and the
+    bracket (and lambda) in its context, as find_root's does.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
     shot = functools.cache(lambda lam: shoot(cfg, epsilon, lam, grid_size=grid_size))
     m_lo, m_hi = shot(lo).boundary_mismatch, shot(hi).boundary_mismatch
-    ends = shrink_bracket(
-        lambda lam: shot(lam).boundary_mismatch, lo, hi, m_lo, m_hi, xtol=tol
-    )
+    try:
+        ends = shrink_bracket(
+            lambda lam: shot(lam).boundary_mismatch, lo, hi, m_lo, m_hi, xtol=tol
+        )
+    except (BracketError, IterationLimitError) as exc:
+        add_failure_context(exc, cfg, epsilon, bracket)
+        raise
     return min(map(shot, ends), key=lambda r: abs(r.boundary_mismatch))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from interval_oracle import characteristic_1d
 
 from steklov.branch import continue_branch, find_root, scan_roots
-from steklov.errors import BracketError
+from steklov.errors import BracketError, IterationLimitError
 from steklov.model import ProblemConfig, density_params
 from steklov.shooting import _R0, ShootingResult, _mesh, eigenvalue_by_shooting, shoot
 
@@ -176,6 +176,21 @@ def test_eigenvalue_by_shooting_requires_bracket():
         eigenvalue_by_shooting(cfg, 0.1, (5.0, 6.0))
     with pytest.raises(ValueError):
         eigenvalue_by_shooting(cfg, 0.1, (2.0, 1.0))
+
+
+def test_shooting_failures_carry_their_context(monkeypatch):
+    cfg = ProblemConfig(N=2, M=math.pi, l=1)
+    where = {"N": 2, "M": math.pi, "l": 1, "eps": 0.1}
+    with pytest.raises(BracketError) as info:
+        eigenvalue_by_shooting(cfg, 0.1, (5.0, 6.0))
+    assert info.value.context == {**where, "bracket": [5.0, 6.0]}
+    # two steps cannot shrink a root bracket to 1e-12
+    monkeypatch.setattr("steklov.roots._MAX_STEPS", 2)
+    with pytest.raises(IterationLimitError) as info:
+        eigenvalue_by_shooting(cfg, 0.1, (2.0, 2.5), tol=1e-12)
+    context = info.value.context
+    assert 2.0 < context.pop("lambda") < 2.5
+    assert context == {**where, "bracket": [2.0, 2.5]}
 
 
 def test_converged_mismatch_is_small():

@@ -1,5 +1,6 @@
-"""The public surface: exported names resolve, tooling guards hold, and the
-per-layer tracer fits.
+"""The public surface: exported names resolve, tooling guards hold, each
+command loads only the numerical libraries it runs, and the per-layer tracer
+fits.
 
 perfbench/tracer.py patches module attributes by name (the command table,
 the figure loop, the branch and shooting entry points and the wave_arguments
@@ -45,18 +46,78 @@ def test_package_is_imported_by_module():
     assert m is sys.modules["steklov.bessel"]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize also loads scipy.linalg and scipy.sparse, about a third of
-    # the CLI start time
+def _python(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this checkout."""
     src = str(Path(steklov.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, steklov.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize also loads scipy.linalg and scipy.sparse, about a third of
+    # the CLI start time
+    code = "import sys, steklov.cli; print('scipy.optimize' in sys.modules)"
+    assert _python(code).strip() == "False"
+
+
+def _libraries_after(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of cli.main(argv) in a fresh interpreter, and which of numpy,
+    scipy and mpmath it loaded."""
+    code = (
+        "import sys, steklov.cli\n"
+        f"rc = steklov.cli.main({argv!r})\n"
+        "print(rc, *(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))"
+    )
+    rc, *loaded = _python(code).splitlines()[-1].split()
+    return int(rc), set(loaded)
+
+
+def test_spectrum_loads_no_numerical_library():
+    # the closed-form spectrum needs only math; the cold start of `spectrum`
+    # is perfbench's setup_s
+    argv = ["spectrum", "--N", "2", "--M", "pi", "--l", "1"]
+    assert _libraries_after(argv) == (0, set())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "--N", "2"],
+        ["oracle-compare", "--N", "2", "--M", "pi", "--l", "0"],
+        ["figure", "--N", "1", "--M", "2", "--l", "0..3", "--eps", "0.1..0.5"],
+    ],
+    ids=["flags", "l0", "figure-l"],
+)
+def test_refusals_load_no_numerical_library(argv, tmp_path):
+    out = str(tmp_path / "fig")
+    assert _libraries_after([*argv, "--out", out]) == (2, set())
+    assert not os.path.exists(out)
+
+
+def test_branch_leaves_mpmath_unloaded():
+    argv = ["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.1"]
+    argv += ["--steps", "2"]
+    assert _libraries_after(argv) == (0, {"numpy", "scipy"})
+
+
+def test_verify_remainder_loads_mpmath():
+    argv = ["verify-remainder", "--N", "2", "--M", "pi", "--l", "1", "--points", "2"]
+    assert _libraries_after(argv) == (0, {"numpy", "scipy", "mpmath"})
+
+
+def test_float_wave_arguments_leave_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "from steklov.model import ProblemConfig, density_params, wave_arguments\n"
+        "wave_arguments(density_params(ProblemConfig(N=2, M=3.0, l=1), 0.1), 2.0)\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _python(code).strip() == "False"
 
 
 def _can_write(call: ast.Call) -> bool:
