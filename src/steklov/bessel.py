@@ -1,13 +1,14 @@
 """Bessel functions J_nu, Y_nu with high-order derivatives.
 
-Values and first derivatives come from scipy's AMOS-backed routines
-(measured relative error below 1e-13 over nu in [0, 25], z in (0, 60]).
-Derivatives of order two and higher are generated here by repeatedly
-differentiating Bessel's equation
+Values come from scipy's AMOS-backed routines (measured relative error
+below 1e-13 over nu in [0, 25], z in (0, 60]); every first derivative in
+the package comes from ``derivative`` (DLMF 10.6.2). Derivatives of order
+two and higher are generated here by repeatedly differentiating Bessel's
+equation
 
     z^2 y'' + z y' + (z^2 - nu^2) y = 0,
 
-which yields the stable upward recurrence used in ``bessel_deriv``.
+which yields the stable upward recurrence of ``derivatives_up_to``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
     "BesselEval",
     "bessel",
     "bessel_deriv",
+    "bessel_pair",
+    "derivative",
     "derivatives_up_to",
     "MAX_DERIV_ORDER",
 ]
@@ -72,26 +75,33 @@ def _validate(nu: float, z: float) -> None:
         raise ValueError(f"argument must be positive, got {z}")
 
 
+_UFUNCS = {BesselKind.J: _sp.jv, BesselKind.Y: _sp.yv}
+
+
 def bessel(kind: BesselKind, nu: float, z: float) -> float:
     """J_nu(z) or Y_nu(z) for nu >= 0, z > 0."""
     _validate(nu, z)
-    fn = _sp.jv if kind is BesselKind.J else _sp.yv
-    return float(fn(nu, z))
+    return float(_UFUNCS[kind](nu, z))
+
+
+def derivative(lower, value, nu, z):
+    """C_nu'(z) from C_{nu-1}(z) and C_nu(z), for C = J or Y (DLMF 10.6.2).
+
+    Works in the arithmetic of its arguments: floats, ndarrays or mpfs.
+    """
+    return lower - nu / z * value
+
+
+def bessel_pair(kind: BesselKind, nu: float, z: float) -> tuple[float, float]:
+    """(C_nu(z), C_nu'(z)) from one library call at orders (nu-1, nu)."""
+    lower, value = _UFUNCS[kind]((nu - 1.0, nu), z).tolist()
+    return value, derivative(lower, value, nu, z)
 
 
 def bessel_deriv(kind: BesselKind, nu: float, z: float, k: int) -> float:
-    """k-th derivative of J_nu or Y_nu at z, 0 <= k <= 8.
-
-    k = 1 uses the standard recurrence (C_{nu-1} - C_{nu+1})/2; higher
-    orders come from the differentiated ODE (see ``derivatives_up_to``).
-    """
-    if k == 0:
-        return bessel(kind, nu, z)
-    if k == 1:
-        _validate(nu, z)
-        fn = _sp.jvp if kind is BesselKind.J else _sp.yvp
-        return float(fn(nu, z))
-    return derivatives_up_to(kind, nu, z, k).derivative_values[k - 1]
+    """k-th derivative of J_nu or Y_nu at z, 0 <= k <= 8."""
+    ev = derivatives_up_to(kind, nu, z, k)
+    return (ev.value, *ev.derivative_values)[k]
 
 
 def derivatives_up_to(kind: BesselKind, nu: float, z: float, k: int) -> BesselEval:
@@ -102,7 +112,7 @@ def derivatives_up_to(kind: BesselKind, nu: float, z: float, k: int) -> BesselEv
         y^(m+2) = -[(2m+1) z y^(m+1) + (m^2 + z^2 - nu^2) y^(m)
                     + 2 m z y^(m-1) + m (m-1) y^(m-2)] / z^2,
 
-    an upward recurrence seeded by the library value and first derivative.
+    an upward recurrence seeded by ``bessel_pair``.
     ``crossprod._propagator_forms`` runs the same recurrence on exact forms.
     """
     if not 0 <= k <= MAX_DERIV_ORDER:
@@ -110,22 +120,15 @@ def derivatives_up_to(kind: BesselKind, nu: float, z: float, k: int) -> BesselEv
             f"derivative order must lie in [0, {MAX_DERIV_ORDER}], got {k}"
         )
     _validate(nu, z)
-    y0 = bessel(kind, nu, z)
-    if k == 0:
-        return BesselEval(kind, nu, z, y0, ())
-    d = [bessel_deriv(kind, nu, z, 1)]
     zz = z * z
     nunu = nu * nu
     # ds[m] holds y^(m); extend through y^(k)
-    ds = [y0, d[0]]
-    for m in range(0, k - 1):
-        ym = ds[m + 1]
-        ym0 = ds[m]
-        acc = (2 * m + 1) * z * ym + (m * m + zz - nunu) * ym0
+    ds = list(bessel_pair(kind, nu, z))
+    for m in range(k - 1):
+        acc = (2 * m + 1) * z * ds[m + 1] + (m * m + zz - nunu) * ds[m]
         if m >= 1:
             acc += 2 * m * z * ds[m - 1]
         if m >= 2:
             acc += m * (m - 1) * ds[m - 2]
         ds.append(-acc / zz)
-    return BesselEval(kind, nu, z, y0, tuple(ds[1:]))
-
+    return BesselEval(kind, nu, z, ds[0], tuple(ds[1 : k + 1]))

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import os
-import stat
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import special as _sp
 
+from .bessel import BesselKind, bessel_pair, derivative
 from .errors import BracketError, IterationLimitError
 from .model import ProblemConfig, density_params, wave_arguments
 from .roots import (
@@ -54,7 +54,6 @@ __all__ = [
     "scan_roots",
     "slope_estimate",
     "radial_profile",
-    "write_fresh",
     "write_points_csv",
     "sidecar_metadata",
 ]
@@ -99,17 +98,35 @@ class BranchTable:
 # the characteristic equation
 
 
-def _derivative(lower, value, nu, z):
-    """C_nu'(z) from C_{nu-1}(z) and C_nu(z), for C = J or Y (DLMF 10.6.2)."""
-    return lower - nu / z * value
+def _f_and_slope(nu, w1, lam, a, b, c, ja, jpa, x1, x2, x3, x4):
+    """(F, dF/dlambda, (a/b) J_nu'(a)) from the cross-products x1..x4.
+
+    x1 = Y'(b) J(c) - J'(b) Y(c), x2 = J(b) Y(c) - Y(b) J(c), x3 and x4
+    the same at J'(c), Y'(c); w1 = 1 - N/2. In the arithmetic of the
+    arguments: floats or ndarrays (the kernel), mpfs (remainder_scaling).
+    a, b and c scale as sqrt(lambda), so lambda F_lambda = D F / 2 with
+    D = a d/da + b d/db + c d/dc. By the Bessel equation D C = z C',
+    D C' = -C' - (z - nu^2/z) C and D (a J'(a)) = -(a^2 - nu^2) J(a).
+    """
+    ratio = (a / b) * jpa
+    # P1: value cross-products at (b, b/(1-eps)); P2: derivative versions
+    p1, p2 = ja * x1 + ratio * x2, ja * x3 + ratio * x4
+    value = w1 * p1 + c * p2
+    gb, gc = b - nu * nu / b, c - nu * nu / c
+    d_ratio = -(a * a - nu * nu) * ja / b - ratio
+    dp1 = a * jpa * x1 + ja * (gb * x2 + c * x3 - x1)
+    dp1 += d_ratio * x2 + ratio * (c * x4 - b * x1)
+    dp2 = a * jpa * x3 + ja * (gb * x4 - gc * x1 - 2.0 * x3)
+    dp2 += d_ratio * x4 - ratio * (b * x3 + x4 + gc * x2)
+    return value, (w1 * dp1 + c * (p2 + dp2)) / (2.0 * lam), ratio
 
 
 class CharacteristicKernel:
     """F(lambda, eps) and its scale at one (cfg, eps) of the ball in R^N.
 
     F = (1 - N/2) P1(a, b) + (b/(1-eps)) P2(a, b), see the module docstring.
-    Calling the kernel with lambda returns (F, scale), scale the largest
-    attainable magnitude of F's terms; with_slope adds dF/dlambda. lambda may be
+    Calling the kernel with lambda returns (F, dF/dlambda, scale), scale
+    the largest attainable magnitude of F's terms. lambda may be
 
     - a float: floats come back (corrector and root iterates);
     - an ndarray: arrays come back, every F bitwise equal to the float
@@ -121,7 +138,8 @@ class CharacteristicKernel:
     One call evaluates wave_arguments once, J at orders (nu-1, nu) on
     (a, b, c) and Y at the same orders on (b, c), with scipy's jv and yv
     (AMOS), one ufunc call each. The derivatives follow from the order
-    nu-1 values by DLMF 10.6.2.
+    nu-1 values by bessel.derivative, and F and dF/dlambda from the
+    cross-products by _f_and_slope.
 
     Where every term underflows (scale 0, J_nu(a) at large nu) F is NaN,
     not the 0 they sum to: neither a zero nor a sign for any root test.
@@ -142,16 +160,6 @@ class CharacteristicKernel:
         self._orders = np.array([[self._nu - 1.0], [self._nu]])
 
     def __call__(self, lam):
-        value, _, scale = self.with_slope(lam)
-        return value, scale
-
-    def with_slope(self, lam):
-        """(F, dF/dlambda, scale) from the one evaluation __call__ makes.
-
-        a, b and c scale as sqrt(lambda), so lambda F_lambda = D F / 2 with
-        D = a d/da + b d/db + c d/dc. By the Bessel equation D C = z C',
-        D C' = -C' - (z - nu^2/z) C and D (a J'(a)) = -(a^2 - nu^2) J(a).
-        """
         a, b = wave_arguments(self._density, lam)
         c = b / (1.0 - self.epsilon)
         nu, w1 = self._nu, self._w1
@@ -166,22 +174,14 @@ class CharacteristicKernel:
             hypot, maximum = math.hypot, max
         (ja1, jb1, jc1), (ja, jb, jc) = J
         (yb1, yc1), (yb, yc) = Y
-        jpb, ypb = _derivative(jb1, jb, nu, b), _derivative(yb1, yb, nu, b)
-        jpc, ypc = _derivative(jc1, jc, nu, c), _derivative(yc1, yc, nu, c)
-        jpa = _derivative(ja1, ja, nu, a)
-        ratio = (a / b) * jpa
-        # P1: value cross-products at (b, b/(1-eps)); P2: derivative versions
-        x1, x2 = ypb * jc - jpb * yc, jb * yc - yb * jc
-        x3, x4 = ypb * jpc - jpb * ypc, jb * ypc - yb * jpc
-        p1, p2 = ja * x1 + ratio * x2, ja * x3 + ratio * x4
-        value = w1 * p1 + c * p2
-        gb, gc = b - nu * nu / b, c - nu * nu / c
-        d_ratio = -(a * a - nu * nu) * ja / b - ratio
-        dp1 = a * jpa * x1 + ja * (gb * x2 + c * x3 - x1)
-        dp1 += d_ratio * x2 + ratio * (c * x4 - b * x1)
-        dp2 = a * jpa * x3 + ja * (gb * x4 - gc * x1 - 2.0 * x3)
-        dp2 += d_ratio * x4 - ratio * (b * x3 + x4 + gc * x2)
-        slope = (w1 * dp1 + c * (p2 + dp2)) / (2.0 * lam)
+        jpb, ypb = derivative(jb1, jb, nu, b), derivative(yb1, yb, nu, b)
+        jpc, ypc = derivative(jc1, jc, nu, c), derivative(yc1, yc, nu, c)
+        jpa = derivative(ja1, ja, nu, a)
+        value, slope, ratio = _f_and_slope(
+            nu, w1, lam, a, b, c, ja, jpa,
+            ypb * jc - jpb * yc, jb * yc - yb * jc,
+            ypb * jpc - jpb * ypc, jb * ypc - yb * jpc,
+        )
         # The scale makes residuals meaningful: at a root the weighted
         # summands cancel, so |F|/scale is the natural convergence measure.
         # Each summand is a cross-product <(Y', -J')(b), (J, Y)(c)> whose
@@ -211,7 +211,7 @@ class IntervalKernel:
         odd:  F = k1 cos(k1 x0) cos(k2 eps) - k2 sin(k1 x0) sin(k2 eps),
         even: F = k1 sin(k1 x0) cos(k2 eps) + k2 cos(k1 x0) sin(k2 eps).
 
-    A float or an ndarray of lambdas gives (F, scale) as from
+    A float or an ndarray of lambdas gives (F, dF/dlambda, scale) as from
     CharacteristicKernel; an ndarray goes elementwise through the float
     path, so batches match it bitwise. With F = p cos(k2 eps) +
     q sin(k2 eps), the scale is max(|p|, |q|), the shell factors having
@@ -228,13 +228,9 @@ class IntervalKernel:
         self._rho = cfg.M / (2.0 * epsilon) - 1.0 + epsilon
 
     def __call__(self, lam):
-        value, _, scale = self.with_slope(lam)
-        return value, scale
-
-    def with_slope(self, lam):
         """(F, dF/dlambda, scale); k1, k2 scale as sqrt(lambda), as a, b do."""
         if isinstance(lam, np.ndarray):
-            triples = [self.with_slope(x) for x in lam.tolist()]
+            triples = [self(x) for x in lam.tolist()]
             return tuple(np.array(col) for col in zip(*triples))
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam}")
@@ -407,11 +403,12 @@ def remainder_scaling(
     headroom near the bottom of the grid. Grid entries must sit in the
     asymptotic window (0, 0.2).
 
-    F needs Y_nu only inside its four cross-products between b and
+    F needs Y_nu only inside its four cross-products x1..x4 between b and
     c = b/(1-eps). Writing C(c) = P C(b) + Q C'(b) and
     C'(c) = P' C(b) + Q' C'(b) (see _propagators), each cross-product is
     the Wronskian W = J Y' - J' Y = 2/(pi b) (DLMF 10.5.2) times one of
-    P, Q, P', Q', so
+    P, Q, P', Q': x1..x4 = W (P, Q, P', Q'). F is linear in x1..x4, so it
+    is W times _f_and_slope's F at (P, Q, P', Q'),
 
         F = W [(1 - N/2)(J_nu(a) P + r Q) + c (J_nu(a) P' + r Q')],
 
@@ -433,11 +430,10 @@ def remainder_scaling(
             a, b = wave_arguments(density_params(cfg, eps), lam_mp)
             c = b / (1 - eps)
             ja = mp.besselj(nu, a)
-            jpa = _derivative(mp.besselj(nu - 1.0, a), ja, nu, a)
+            jpa = derivative(mp.besselj(nu - 1.0, a), ja, nu, a)
             P, Q, dP, dQ = _propagators(nu, b, c - b)
-            ratio = (a / b) * jpa
-            wronskian = 2 / (mp.pi * b)
-            F = wronskian * (w1 * (ja * P + ratio * Q) + c * (ja * dP + ratio * dQ))
+            value, _, _ = _f_and_slope(nu, w1, lam_mp, a, b, c, ja, jpa, P, Q, dP, dQ)
+            F = 2 / (mp.pi * b) * value
             b1 = b * mp.sqrt(eps / lam_mp)
             rescaled = F / jpa * mp.pi * nu * (1 - eps) / (eps * b1)
             out.append((float(e), float(abs(rescaled - (c0 + c1 * eps)))))
@@ -462,20 +458,21 @@ def find_root(
 ) -> BranchPoint:
     """The root in a sign-changing bracket, residual-checked.
 
-    shrink_bracket narrows the bracket, by Newton steps on with_slope, to
-    adjacent floats across which F changes sign (or to an exact zero); the
-    root is the end with the smaller |F|/scale, accepted only when that is
-    at most DEFAULT_ROOT_TOL. _known, from the corrector and scan_roots, is
-    with_slope at (lo, hi), so no lambda is evaluated twice in one call.
+    shrink_bracket narrows the bracket, by Newton steps on the kernel's
+    (F, dF/dlambda), to adjacent floats across which F changes sign (or to
+    an exact zero); the root is the end with the smaller |F|/scale,
+    accepted only when that is at most DEFAULT_ROOT_TOL. _known, from the corrector and scan_roots, is
+    the kernel's (F, dF/dlambda, scale) at (lo, hi), so no lambda is
+    evaluated twice in one call.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
     fn = _char_fn(cfg, epsilon)
-    seen = dict(zip(bracket, _known or (fn.with_slope(lo), fn.with_slope(hi))))
+    seen = dict(zip(bracket, _known or (fn(lo), fn(hi))))
 
     def f(x):
-        seen[x] = fn.with_slope(x)
+        seen[x] = fn(x)
         return seen[x][:2]
 
     try:
@@ -518,7 +515,7 @@ def _bracketed_root_near(
     for _ in range(_MAX_STEPS):
         if not (x > 0.0 and abs(x - prediction) <= half_width):
             return None
-        value, slope, _ = here = fn.with_slope(x)
+        value, slope, _ = here = fn(x)
         if prev is not None and (value == 0.0 or opposite_signs(value, prev[1][0])):
             (lo, f_lo), (hi, f_hi) = sorted([prev, (x, here)])
             return find_root(cfg, epsilon, (lo, hi), _known=(f_lo, f_hi))
@@ -628,13 +625,13 @@ def scan_roots(
 ) -> list[BranchPoint]:
     """All roots of the characteristic in (lam_min, lam_max) at fixed eps.
 
-    Uniform sign scan (one batched with_slope call), then find_root on each
+    Uniform sign scan (one batched kernel call), then find_root on each
     sign-changing cell, which reuses the sampled values at the cell ends;
     used to seed the divergent families that have no eps -> 0 anchor.
     """
     fn = _char_fn(cfg, epsilon)
     xs = [lam_min + (lam_max - lam_min) * i / samples for i in range(samples + 1)]
-    ends = list(zip(*(col.tolist() for col in fn.with_slope(np.array(xs)))))
+    ends = list(zip(*(col.tolist() for col in fn(np.array(xs)))))
     roots: list[BranchPoint] = []
     for i in range(samples):
         if ends[i][0] == 0.0 or opposite_signs(ends[i][0], ends[i + 1][0]):
@@ -670,12 +667,6 @@ def slope_estimate(
 # radial eigenfunction
 
 
-def _bessel_pair(fn, nu, z) -> tuple[float, float]:
-    """(C_nu(z), C_nu'(z)) for C = fn, scipy's jv or yv (DLMF 10.6.2)."""
-    lower, value = fn((nu - 1.0, nu), z).tolist()
-    return value, _derivative(lower, value, nu, z)
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Radial factor S(r) of the eigenfunction at one branch point.
@@ -700,12 +691,12 @@ class RadialProfile:
         nu, p = self.cfg.nu, 1.0 - self.cfg.N / 2.0
         if r <= 1.0 - self.epsilon:
             k = math.sqrt(self.lam * self.epsilon)
-            combo, combo_p = _bessel_pair(_sp.jv, nu, k * r)
+            combo, combo_p = bessel_pair(BesselKind.J, nu, k * r)
         else:
             rho_ann = density_params(self.cfg, self.epsilon).rho_annulus
             k = math.sqrt(self.lam * rho_ann)
-            j, jp = _bessel_pair(_sp.jv, nu, k * r)
-            y, yp = _bessel_pair(_sp.yv, nu, k * r)
+            j, jp = bessel_pair(BesselKind.J, nu, k * r)
+            y, yp = bessel_pair(BesselKind.Y, nu, k * r)
             combo = self.alpha * j + self.beta * y
             combo_p = self.alpha * jp + self.beta * yp
         return r**p * combo, p * r ** (p - 1.0) * combo + r**p * k * combo_p
@@ -727,9 +718,9 @@ def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
     if cfg.N == 1:
         raise ValueError("the Bessel kernel does not serve the interval (N = 1)")
     a, b = wave_arguments(density_params(cfg, point.epsilon), point.lam)
-    ja, jpa = _bessel_pair(_sp.jv, cfg.nu, a)
-    jb, jpb = _bessel_pair(_sp.jv, cfg.nu, b)
-    yb, ypb = _bessel_pair(_sp.yv, cfg.nu, b)
+    ja, jpa = bessel_pair(BesselKind.J, cfg.nu, a)
+    jb, jpb = bessel_pair(BesselKind.J, cfg.nu, b)
+    yb, ypb = bessel_pair(BesselKind.Y, cfg.nu, b)
     ratio = (a / b) * jpa
     pref = math.pi * b / 2.0
     return RadialProfile(
@@ -745,34 +736,16 @@ def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
 # table export
 
 
-def write_fresh(path: str | os.PathLike, text: str) -> None:
-    """Write ASCII text to path as a new file; the one writer of every output.
-
-    A regular file already at path is unlinked first, not truncated: ext4's
-    auto_da_alloc heuristic writes out a truncated and rewritten file when it
-    is closed (and a file renamed over another when it is renamed). On the
-    ext4 root of a 2-vCPU VM that cost 50-70 ms per figure CSV, against
-    about 0.02 ms for a new file. A hard link to the old file keeps the old
-    content. A symlink, device or FIFO is written through, so
-    --out /dev/stdout works and only a regular file is ever removed.
-    """
-    try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.unlink(path)
-    except FileNotFoundError:
-        pass
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
 def write_points_csv(
     points: Sequence[BranchPoint], path: str | os.PathLike
 ) -> None:
     """Three columns, round-trip float formatting, one row per point.
 
-    The file is written by `write_fresh`, so it replaces any regular file
-    at path.
+    The file is written by `cli.write_fresh`, so it replaces any regular
+    file at path.
     """
+    from .cli import write_fresh
+
     lines = ["epsilon,lambda,residual"]
     lines += [f"{p.epsilon!r},{p.lam!r},{p.residual!r}" for p in points]
     write_fresh(path, "\n".join(lines) + "\n")

@@ -138,12 +138,12 @@ def test_kernel_batch_matches_scalar_bitwise(N, l):
     eps_list, lam = _kernel_grid(N, l)
     for eps in eps_list:
         kernel = CharacteristicKernel(cfg, eps)
-        values, scales = kernel(lam)
+        values, _, scales = kernel(lam)
         scalar = [kernel(x) for x in lam.tolist()]
-        assert all(type(v) is float and type(s) is float for v, s in scalar)
-        assert np.array([v for v, _ in scalar]).tobytes() == values.tobytes()
+        assert all(type(v) is float and type(s) is float for v, _, s in scalar)
+        assert np.array([v for v, _, _ in scalar]).tobytes() == values.tobytes()
         # the moduli come from math.hypot or np.hypot, which may round apart
-        np.testing.assert_allclose([s for _, s in scalar], scales, rtol=1e-15, atol=0)
+        np.testing.assert_allclose([s for _, _, s in scalar], scales, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("N, l", KERNEL_CASES)
@@ -151,7 +151,7 @@ def test_kernel_agrees_with_jvp_evaluation(N, l):
     cfg = ProblemConfig(N=N, M=math.pi, l=l)
     eps_list, lam = _kernel_grid(N, l)
     for eps in eps_list:
-        values, scales = CharacteristicKernel(cfg, eps)(lam)
+        values, _, scales = CharacteristicKernel(cfg, eps)(lam)
         gap = np.abs(values - _characteristic_jvp(cfg, eps, lam)) / scales
         assert gap.max() <= _kernel_tol(N), f"eps={eps}"
 
@@ -210,7 +210,7 @@ def test_kernel_mpmath_path_agrees_with_float_path(N, l):
         for eps in eps_list[::2]:
             kernel = CharacteristicKernel(cfg, eps)
             for x in lam[::27].tolist():
-                value, scale = kernel(x)
+                value, _, scale = kernel(x)
                 value_mp, scale_mp = _reference_characteristic(
                     cfg, mp.mpf(eps), mp.mpf(x)
                 )
@@ -252,13 +252,27 @@ def test_kernel_call_is_one_pass(monkeypatch, lam):
         "_sp",
         SimpleNamespace(jv=counted("jv", special.jv), yv=counted("yv", special.yv)),
     )
-    value, scale = kernel(lam)
+    got = kernel(lam)
     assert sorted(calls) == ["jv", "wave_arguments", "yv"]
-    assert np.array(value).tobytes() == np.array(expected[0]).tobytes()
-    assert np.array(scale).tobytes() == np.array(expected[1]).tobytes()
-    calls.clear()
-    kernel.with_slope(lam)
-    assert sorted(calls) == ["jv", "wave_arguments", "yv"]
+    for have, want in zip(got, expected):
+        assert np.array(have).tobytes() == np.array(want).tobytes()
+
+
+def test_one_f_formula_for_the_kernel_and_the_remainder(monkeypatch):
+    """A float kernel call and a one-point remainder each evaluate F once,
+    by the same formula."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return f_and_slope(*args)
+
+    f_and_slope = branch._f_and_slope
+    monkeypatch.setattr(branch, "_f_and_slope", counted)
+    CharacteristicKernel(CFG_DISC, 0.1)(2.0)
+    assert len(calls) == 1
+    remainder_scaling(CFG_DISC, 2.0, [1e-3])
+    assert len(calls) == 2
 
 
 def _reference_interval(cfg: ProblemConfig, eps, lam):
@@ -278,14 +292,13 @@ def _reference_interval(cfg: ProblemConfig, eps, lam):
     eps=st.floats(1e-3, 0.99),
     lam=st.floats(0.5, 60.0),
 )
-def test_with_slope_matches_call_and_a_30_digit_difference(N, l, eps, lam):
-    """with_slope's F and scale are __call__'s, bit for bit, and its
-    F_lambda is within 1e-10 of scale / lambda of a central difference of
-    F at 30 digits (mp.besselj and mp.bessely, or mp.cos and mp.sin)."""
+def test_slope_matches_a_30_digit_difference(N, l, eps, lam):
+    """The kernel's F_lambda is within 1e-10 of scale / lambda of a central
+    difference of F at 30 digits (mp.besselj and mp.bessely, or mp.cos and
+    mp.sin)."""
     cfg = ProblemConfig(N=N, M=math.pi, l=l % 2 if N == 1 else l)
     kernel = branch._char_fn(cfg, eps)
-    value, slope, scale = kernel.with_slope(lam)
-    assert np.array([value, scale]).tobytes() == np.array(kernel(lam)).tobytes()
+    _, slope, scale = kernel(lam)
     with mp.workdps(30):
         eps_mp, lam_mp = mp.mpf(eps), mp.mpf(lam)
 
@@ -319,9 +332,9 @@ def test_find_root_compares_the_signs_of_tiny_values():
 
 def test_an_underflowed_sample_is_neither_a_zero_nor_a_sign():
     kernel = CharacteristicKernel(CFG_L100, 0.0125)
-    value, scale = kernel(0.376)
+    value, _, scale = kernel(0.376)
     assert math.isnan(value) and scale == 0.0
-    values, scales = kernel(np.array([0.001, 0.376, 150.0]))
+    values, _, scales = kernel(np.array([0.001, 0.376, 150.0]))
     assert np.isnan(values[:2]).all() and values[2] > 0.0
     assert scales.tolist()[:2] == [0.0, 0.0]
     with pytest.raises(BracketError):
@@ -345,13 +358,13 @@ def _reference_find_root(cfg, eps, bracket, known):
             lambda x: f_lo if x == lo else f_hi if x == hi else kernel(x)[0],
             lo, hi, xtol=1e-15, rtol=4 * math.ulp(1.0), maxiter=200,
         )
-    value, scale = kernel(root)
+    value, _, scale = kernel(root)
     best_res, best_x = abs(value) / scale, root
     for direction in (math.inf, -math.inf):
         x, rising = root, 0
         for _ in range(64):
             x = math.nextafter(x, direction)
-            value, scale = kernel(x)
+            value, _, scale = kernel(x)
             if abs(value) / scale < best_res:
                 best_res, best_x, rising = abs(value) / scale, x, 0
             else:
@@ -395,7 +408,7 @@ def test_find_root_matches_brent_and_polish(N, l, eps):
         f_root = kernel(pt.lam)[0]
         neighbours = [kernel(math.nextafter(pt.lam, d)) for d in (-math.inf, math.inf)]
         assert f_root == 0.0 or any(
-            f_root * g < 0.0 and pt.residual <= abs(g) / s for g, s in neighbours
+            f_root * g < 0.0 and pt.residual <= abs(g) / s for g, _, s in neighbours
         ), where
 
 
@@ -876,7 +889,7 @@ def test_csv_round_trip_revalidates(tmp_path):
         lam = float(row["lambda"])
         res = float(row["residual"])
         assert eps == pt.epsilon and lam == pt.lam and res == pt.residual
-        value, scale = CharacteristicKernel(CFG_DISC, eps)(lam)
+        value, _, scale = CharacteristicKernel(CFG_DISC, eps)(lam)
         assert abs(value) / scale <= DEFAULT_ROOT_TOL
 
 

@@ -436,6 +436,18 @@ def test_range_and_list_parsers_keep_their_messages(tmp_path, capsys, argv, mess
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan", "0", "1", "-1"])
+@pytest.mark.parametrize("command", ["eigenfunction", "oracle-compare"])
+def test_eps_outside_the_unit_interval_is_usage_error(capsys, command, eps):
+    argv = [command, "--N", "2", "--M", "pi", "--l", "1", "--eps", eps]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["code"] == 2
+    assert "(0, 1)" in payload["message"], payload["message"]
+
+
 @pytest.mark.parametrize("N", ["299", "300", "340", "301", "341", "342"])
 def test_spectrum_dimension_bound(capsys, N):
     # odd N <= 299 and even N <= 340 keep the unit-ball volume's division finite
@@ -486,8 +498,8 @@ def test_interval_figure_splits_families_by_parity(tmp_path):
                 for l in (fam["l"], 1 - fam["l"])
             )
             # a root of its own parity's factor, far from one of the other's
-            assert float(row["residual"]) == abs(own[0]) / own[1] <= DEFAULT_ROOT_TOL
-            assert abs(other[0]) / other[1] > 1e-6
+            assert float(row["residual"]) == abs(own[0]) / own[2] <= DEFAULT_ROOT_TOL
+            assert abs(other[0]) / other[2] > 1e-6
 
 
 def test_figure_refuses_an_interval_l_before_making_out(tmp_path, monkeypatch, capsys):

@@ -84,6 +84,14 @@ def test_spectrum_loads_no_numerical_library():
     assert _libraries_after(argv) == (0, set())
 
 
+def test_spectrum_to_a_file_loads_no_numerical_library(tmp_path):
+    # --out goes through cli.write_fresh, which needs only os
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--N", "2", "--M", "pi", "--l-max", "4", "--out", str(out)]
+    assert _libraries_after(argv) == (0, set())
+    assert out.read_text(encoding="ascii").startswith("l,lambda,multiplicity,slope\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -155,11 +163,11 @@ def _file_writers(path: Path) -> list[str]:
 
 
 def test_one_file_writer():
-    # every output goes through branch.write_fresh, which replaces a regular
+    # every output goes through cli.write_fresh, which replaces a regular
     # file with a new one; a second writer would truncate in place again
     src = Path(steklov.__file__).resolve().parent
     writers = [w for path in sorted(src.glob("*.py")) for w in _file_writers(path)]
-    assert writers == ["branch.write_fresh"]
+    assert writers == ["cli.write_fresh"]
 
 
 def _is_product(node: ast.AST) -> bool:
@@ -181,6 +189,21 @@ def test_no_sign_test_by_product():
                 operands = [node.left, *node.comparators]
                 if any(map(_is_product, operands)) and any(map(_is_zero, operands)):
                     found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_library_derivative_wrappers():
+    # every first derivative comes from bessel.derivative (DLMF 10.6.2), the
+    # rule that F evaluates; scipy's jvp and yvp would be a second route
+    src = Path(steklov.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("jvp", "yvp"):
+                found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
 
