@@ -299,6 +299,8 @@ def slope_from_truncated(cfg: ProblemConfig) -> float:
 
 # terms of one Taylor step before remainder_scaling gives up
 _MAX_SERIES_TERMS = 400
+# bits of a Taylor step's fixed-point sums beyond the working precision
+_GUARD_BITS = 40
 
 
 def _taylor_step(nu, z, h):
@@ -311,37 +313,42 @@ def _taylor_step(nu, z, h):
         z^2 (k+1)(k+2) t_{k+2} = -[(2k+1)(k+1) z t_{k+1}
             + (k^2 + z^2 - nu^2) t_k + 2z t_{k-1} + t_{k-2}],
 
-    run on the terms s_k = t_k h^k, in the working mpmath precision. The
-    equation's only finite singular point is 0, so the series converge
-    for |h| < z. They stop once three consecutive terms of all four sums
-    fall below 2^-(prec+10); IterationLimitError past _MAX_SERIES_TERMS.
+    run on the terms s_k = t_k h^k. The equation's only finite singular
+    point is 0, so the series converge for |h| < z. Terms and sums are ints
+    scaled by 2^W, W = prec + _GUARD_BITS + 2 log2(1/|h|) (mpmath's python
+    backend normalises every mpf result in interpreted code): P' and Q' - 1
+    are O(h) and come out as sums of k s_k divided by h. The series stop once
+    three consecutive terms of P and Q fall below 2^-(prec+10), and those
+    of the k s_k sums below that times |h|; IterationLimitError past
+    _MAX_SERIES_TERMS.
     ``crossprod._propagator_forms`` runs the same recurrence on exact forms.
     """
     import mpmath as mp
 
-    tiny = mp.ldexp(1, -(mp.mp.prec + 10))
-    tiny_slope = tiny * abs(h)
+    prec = mp.mp.prec
+    W = prec + _GUARD_BITS + 2 * max(0, -mp.mag(h))
+    tiny, tiny_slope = 1 << (W - prec - 10), int(mp.ldexp(abs(h), W - prec - 10))
     u = h / z
     g = h * u
     # s_{k+2} (k+1)(k+2) = -[(2k+1)(k+1) u s_{k+1} + (k^2 u^2 + h^2 - nu^2 u^2) s_k
     #                        + 2 h g s_{k-1} + g^2 s_{k-2}]
     uu = u * u
-    base = h * h - nu * nu * uu
-    c3, c4 = 2 * h * g, g * g
-    zero, one = mp.mpf(0), mp.mpf(1)
+    u, uu, base, c3, c4, h_w = (
+        int(mp.ldexp(x, W)) for x in (u, uu, h * h - nu * nu * uu, 2 * h * g, g * g, h)
+    )
+    one = 1 << W
     # (s_{k-2}, s_{k-1}, s_k, s_{k+1}) of each series, at k = 0
-    p2, p1, p0, pn = zero, zero, one, zero
-    q2, q1, q0, qn = zero, zero, zero, h
-    P, Q = one, h
-    # sums of k s_k; P' and Q' are these over h
-    dP, dQ = zero, h
+    p2, p1, p0, pn = 0, 0, one, 0
+    q2, q1, q0, qn = 0, 0, 0, h_w
+    # sums of s_k, and of k s_k: P' and Q' are these over h
+    P, Q, dP, dQ = one, h_w, 0, h_w
     quiet = 0
     for k in range(_MAX_SERIES_TERMS):
         c1 = (2 * k + 1) * (k + 1) * u
         c2 = k * k * uu + base
-        den = -(k + 1) * (k + 2)
-        p_next = (c1 * pn + c2 * p0 + c3 * p1 + c4 * p2) / den
-        q_next = (c1 * qn + c2 * q0 + c3 * q1 + c4 * q2) / den
+        den = (k + 1) * (k + 2)
+        p_next = -((c1 * pn + c2 * p0 + c3 * p1 + c4 * p2) >> W) // den
+        q_next = -((c1 * qn + c2 * q0 + c3 * q1 + c4 * q2) >> W) // den
         P += p_next
         Q += q_next
         dP += (k + 2) * p_next
@@ -354,6 +361,7 @@ def _taylor_step(nu, z, h):
         ):
             quiet += 1
             if quiet == 3:
+                P, Q, dP, dQ = (mp.mpf((s, -W)) for s in (P, Q, dP, dQ))
                 return P, Q, dP / h, dQ / h
         else:
             quiet = 0
@@ -413,7 +421,8 @@ def remainder_scaling(
         F = W [(1 - N/2)(J_nu(a) P + r Q) + c (J_nu(a) P' + r Q')],
 
     with r = (a/b) J_nu'(a). The only Bessel evaluations are J at orders
-    nu-1 and nu at the small argument a.
+    nu-1 and nu at the small argument a. An unsettled series raises
+    IterationLimitError with N, M, l, eps and lambda in its context.
     """
     for e in eps_grid:
         if not 0.0 < e < 0.2:
@@ -431,7 +440,12 @@ def remainder_scaling(
             c = b / (1 - eps)
             ja = mp.besselj(nu, a)
             jpa = derivative(mp.besselj(nu - 1.0, a), ja, nu, a)
-            P, Q, dP, dQ = _propagators(nu, b, c - b)
+            try:
+                P, Q, dP, dQ = _propagators(nu, b, c - b)
+            except IterationLimitError as exc:
+                exc.context.update(N=cfg.N, M=cfg.M, l=cfg.l, eps=e)
+                exc.context["lambda"] = lam
+                raise
             value, _, _ = _f_and_slope(nu, w1, lam_mp, a, b, c, ja, jpa, P, Q, dP, dQ)
             F = 2 / (mp.pi * b) * value
             b1 = b * mp.sqrt(eps / lam_mp)

@@ -15,8 +15,9 @@ Exit codes: 0 on success, 2 for flag or domain errors, 3 for numerical
 failures (lost brackets, gate violations). Failures emit one JSON object
 {"code", "message", "context"} on stderr, the context holding the command
 and its argv, and for a lost or unconverged root also N, M, l, eps and the
-bracket (and lambda when unconverged). All CSV output uses repr float
-formatting, so identical invocations produce byte-identical files.
+bracket (and lambda when unconverged); for a remainder propagator series
+that does not settle, N, M, l, eps and lambda. All CSV output uses repr
+float formatting, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations

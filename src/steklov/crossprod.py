@@ -128,8 +128,9 @@ def _propagator_forms(nu: Fraction) -> tuple[list[_Laurent], list[_Laurent]]:
                     + 2j w C^(j-1) + j(j-1) w^2 C^(j-2)],
 
     the one ``bessel.derivatives_up_to`` runs on values and
-    ``branch._taylor_step`` on Taylor terms. Its weights are integers up to
-    nu^2, so it needs no division, and at integer nu it runs on ints.
+    ``branch._taylor_step`` on Taylor terms in fixed point. Its weights are
+    integers up to nu^2, so it needs no division, and at integer nu it runs
+    on ints.
     """
     nu2 = int(nu) ** 2 if nu.denominator == 1 else nu * nu
     P: list[_Laurent] = [{0: 1}, {}]

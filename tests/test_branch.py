@@ -517,6 +517,29 @@ def test_propagators_carry_bessel_functions_from_b_to_c(twice_nu, log_b, log_eps
                 assert abs(p * at_b + q * slope_b - want) <= 1e-35 * summands
 
 
+@pytest.mark.parametrize(
+    "nu, z, h",
+    [
+        (3.0, 50.0, 2.0**-100),
+        (0.5, 2.0, 2.0**-30),
+        (6.0, 10.0, 0.5),
+        (40.0, 50.0, 0.9),
+        (2.0, 30.0, 30 * 1e-30),
+    ],
+)
+def test_taylor_step_keeps_the_working_precision(nu, z, h):
+    """P, Q, P', Q' of a step at 136 bits are each within 2^-130 (relative)
+    of the same step at 300 bits, down to h = 2^-100: P' and Q' - 1 are
+    sums of order h divided by h, so the fixed-point scale grows as 1/h^2."""
+    steps = []
+    for prec in (136, 300):
+        with mp.workprec(prec):
+            steps.append(branch._taylor_step(nu, mp.mpf(z), mp.mpf(h)))
+    with mp.workprec(300):
+        for got, want in zip(*steps):
+            assert abs(got - want) <= mp.ldexp(abs(want), -130)
+
+
 def test_propagator_series_has_a_term_cap(monkeypatch):
     monkeypatch.setattr(branch, "_MAX_SERIES_TERMS", 5)
     with pytest.raises(IterationLimitError, match="did not settle in 5 terms"):

@@ -160,6 +160,18 @@ def test_unreachable_tolerance_is_numerical_failure(tmp_path, monkeypatch, capsy
     assert not out.with_suffix(".json").exists()
 
 
+def test_unsettled_remainder_series_names_its_point(monkeypatch, capsys):
+    monkeypatch.setattr("steklov.branch._MAX_SERIES_TERMS", 5)
+    argv = ["verify-remainder", "--N", "2", "--M", "pi", "--l", "1"]
+    assert cli.main(argv) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert "did not settle in 5 terms" in payload["message"]
+    assert payload["context"] == {
+        "command": "verify-remainder", "argv": argv,
+        "N": 2, "M": math.pi, "l": 1, "eps": 1e-05, "lambda": 2.0,
+    }
+
+
 @pytest.mark.parametrize(
     "args",
     [
