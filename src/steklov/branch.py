@@ -65,6 +65,8 @@ DEFAULT_ROOT_TOL = 1e-11
 _MAX_HALVINGS = 10
 # relative size of a corrector step at float64 F's noise floor (see README)
 _NOISE_FLOOR = 1e-9
+# stops through which trace_family's predictor runs: its degree plus one
+_PREDICTOR_STOPS = 5
 # lower end of scan_roots' lambda grid; a figure window must reach above it
 SCAN_LAM_MIN = 1e-3
 
@@ -136,8 +138,10 @@ class CharacteristicKernel:
     The density at eps is computed once, when the kernel is built (so an
     eps outside (0, 1) or a non-positive annulus density fails there).
     One call evaluates wave_arguments once, J at orders (nu-1, nu) on
-    (a, b, c) and Y at the same orders on (b, c), with scipy's jv and yv
-    (AMOS), one ufunc call each. The derivatives follow from the order
+    (a, b, c) and Y at the same orders on (b, c), one scipy (AMOS) ufunc
+    call each: jv, and the imaginary part of hankel1, which costs less
+    than yv and gives its bits at every order but -1/2 (closer to the
+    closed form there; see bessel). The derivatives follow from the order
     nu-1 values by bessel.derivative, and F and dF/dlambda from the
     cross-products by _f_and_slope.
 
@@ -166,11 +170,11 @@ class CharacteristicKernel:
         if isinstance(lam, np.ndarray):
             orders = self._orders[..., None]
             J = _sp.jv(orders, (a, b, c))
-            Y = _sp.yv(orders, (b, c))
+            Y = _sp.hankel1(orders, (b, c)).imag
             hypot, maximum = np.hypot, np.maximum
         else:
             J = _sp.jv(self._orders, (a, b, c)).tolist()
-            Y = _sp.yv(self._orders, (b, c)).tolist()
+            Y = _sp.hankel1(self._orders, (b, c)).imag.tolist()
             hypot, maximum = math.hypot, max
         (ja1, jb1, jc1), (ja, jb, jc) = J
         (yb1, yc1), (yb, yc) = Y
@@ -469,20 +473,22 @@ def find_root(
     bracket: tuple[float, float],
     *,
     _known: tuple[tuple, tuple] | None = None,
+    _fn=None,
 ) -> BranchPoint:
     """The root in a sign-changing bracket, residual-checked.
 
     shrink_bracket narrows the bracket, by Newton steps on the kernel's
     (F, dF/dlambda), to adjacent floats across which F changes sign (or to
     an exact zero); the root is the end with the smaller |F|/scale,
-    accepted only when that is at most DEFAULT_ROOT_TOL. _known, from the corrector and scan_roots, is
-    the kernel's (F, dF/dlambda, scale) at (lo, hi), so no lambda is
-    evaluated twice in one call.
+    accepted only when that is at most DEFAULT_ROOT_TOL. _known, from the
+    corrector and scan_roots, is the kernel's (F, dF/dlambda, scale) at
+    (lo, hi), so no lambda is evaluated twice in one call; _fn, from the
+    corrector, is its kernel at (cfg, eps), so the kernel is not built twice.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got {bracket}")
-    fn = _char_fn(cfg, epsilon)
+    fn = _fn or _char_fn(cfg, epsilon)
     seen = dict(zip(bracket, _known or (fn(lo), fn(hi))))
 
     def f(x):
@@ -515,14 +521,14 @@ def _bracketed_root_near(
     """Newton from the prediction until two iterates straddle a root.
 
     The first two consecutive iterates across which F changes sign (or at
-    which it vanishes) go to find_root with the values already in hand.
-    None, so that trace_family halves its step, when an iterate leaves
-    (0, inf) or half_width of the prediction, when the slope vanishes or
-    F is NaN (every term underflowed), after _MAX_STEPS iterates, or when
-    a step above _NOISE_FLOOR times lambda is more than half the one
-    before it (a contraction-rate bound as in Allgower & Georg, SIAM
-    2003): Newton would then crawl toward F's zero at lambda = 0 or down
-    F's tail away from a root.
+    which it vanishes) go to find_root with the values and the kernel
+    already in hand. None, so that trace_family halves its step, when an
+    iterate leaves (0, inf) or half_width of the prediction, when the
+    slope vanishes or F is NaN (every term underflowed), after _MAX_STEPS
+    iterates, or when a step above _NOISE_FLOOR times lambda is more than
+    half the one before it (a contraction-rate bound as in Allgower &
+    Georg, SIAM 2003): Newton would then crawl toward F's zero at
+    lambda = 0 or down F's tail away from a root.
     """
     fn = _char_fn(cfg, epsilon)
     x, prev, last = prediction, None, math.inf
@@ -532,7 +538,7 @@ def _bracketed_root_near(
         value, slope, _ = here = fn(x)
         if prev is not None and (value == 0.0 or opposite_signs(value, prev[1][0])):
             (lo, f_lo), (hi, f_hi) = sorted([prev, (x, here)])
-            return find_root(cfg, epsilon, (lo, hi), _known=(f_lo, f_hi))
+            return find_root(cfg, epsilon, (lo, hi), _known=(f_lo, f_hi), _fn=fn)
         if not slope or math.isnan(value):
             return None
         step = newton_step(x, value, slope)
@@ -540,6 +546,27 @@ def _bracketed_root_near(
             return None
         x, prev, last = step, (x, here), abs(step - x)
     return None
+
+
+def _add_stop(stops, diffs, e, lam):
+    """The Newton form of the polynomial through (e, lam) and the latest stops.
+
+    stops are newest first, and diffs[j] is the divided difference
+    lambda[stops[0], ..., stops[j]]; a diffs entry past the stops (the
+    slope0 of the first step) is dropped. Keeps _PREDICTOR_STOPS stops.
+    """
+    new = [lam]
+    for e_j, d_j in zip(stops[: _PREDICTOR_STOPS - 1], diffs):
+        new.append((new[-1] - d_j) / (e - e_j))
+    return [e, *stops][:_PREDICTOR_STOPS], new
+
+
+def _predict(stops, diffs, e):
+    """The Newton form at e, by Horner's rule from the highest difference."""
+    acc = diffs[-1]
+    for j in range(len(diffs) - 2, -1, -1):
+        acc = diffs[j] + (e - stops[j]) * acc
+    return acc
 
 
 def trace_family(
@@ -553,15 +580,18 @@ def trace_family(
     """Predictor-corrector continuation from a known point.
 
     Walks eps_values (monotone, either direction) from start = (eps, lam);
-    each step predicts linearly with the latest secant slope (slope0 seeds
-    the first step) and corrects by Newton, bracketing the root for
-    find_root. Bracket failure halves the step toward the target up to 10
-    times. Returns (points at the requested eps values, truncated flag);
+    each step predicts with the polynomial through the latest
+    _PREDICTOR_STOPS converged stops (Allgower & Georg, SIAM 2003, 2.3),
+    which through two stops is the secant and before the first step the
+    line of slope slope0, and corrects by Newton, bracketing the root for
+    find_root. The corrector's half-width still scales with the secant.
+    Bracket failure halves the step toward the target up to 10 times.
+    Returns (points at the requested eps values, truncated flag);
     truncated is set when the family is lost or leaves (0, lam_max].
     """
-    e_prev, lam_prev = start
-    slope = 0.0 if slope0 is None else slope0
-    scale = abs(lam_prev)
+    e0, lam0 = start
+    stops, diffs = [e0], [lam0, 0.0 if slope0 is None else slope0]
+    scale = abs(lam0)
     points: list[BranchPoint] = []
     for e_target in eps_values:
         halvings = 0
@@ -571,19 +601,20 @@ def trace_family(
             # halfway back toward the last converged point
             e_try = e_target
             while True:
-                d_eps = e_try - e_prev
-                prediction = lam_prev + slope * d_eps
-                half_width = max(0.25 * scale, 10.0 * abs(slope) * abs(d_eps))
+                d_eps = e_try - stops[0]
+                prediction = _predict(stops, diffs, e_try)
+                half_width = max(0.25 * scale, 10.0 * abs(diffs[1]) * abs(d_eps))
                 found = _bracketed_root_near(cfg, e_try, prediction, half_width)
                 if found is not None:
                     break
                 halvings += 1
                 if halvings > _MAX_HALVINGS:
                     return points, True
-                e_try = 0.5 * (e_prev + e_try)
+                e_try = 0.5 * (stops[0] + e_try)
             if d_eps != 0.0:
-                slope = (found.lam - lam_prev) / d_eps
-            e_prev, lam_prev = e_try, found.lam
+                stops, diffs = _add_stop(stops, diffs, e_try, found.lam)
+            else:
+                diffs[0] = found.lam
             if e_try == e_target:
                 pt = found
         points.append(pt)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from series_oracle import bessel_j_series, bessel_y0_series
 from steklov.bessel import (
@@ -15,6 +17,7 @@ from steklov.bessel import (
     BesselKind,
     bessel,
     bessel_deriv,
+    bessel_pair,
     derivatives_up_to,
 )
 from steklov.errors import UnsupportedOrderError
@@ -187,3 +190,45 @@ def test_unsupported_derivative_order(k):
         with pytest.raises(UnsupportedOrderError):
             bessel_deriv(BesselKind.J, 1.0, 2.0, k)
 
+
+
+def _kernel_orders() -> list[float]:
+    """The orders nu - 1 and nu of the kernel for N = 2..5, l <= 40."""
+    nus = {(N + 2 * l - 2) / 2 for N in range(2, 6) for l in range(41)}
+    return sorted(nus | {nu - 1.0 for nu in nus})
+
+
+def test_hankel1_imag_is_yv_at_the_kernel_orders():
+    """Y is taken as Im H^(1)_nu, which costs less than yv: the same bits at
+    every kernel order but -1/2, wherever yv is finite. Where yv overflows
+    to -inf (orders near 41 below x = 1.5e-6), Im H^(1) is NaN."""
+    orders = np.array([nu for nu in _kernel_orders() if nu != -0.5])[:, None]
+    x = np.geomspace(1e-6, 2e3, 1001)
+    y, h = special.yv(orders, x), special.hankel1(orders, x).imag
+    finite = np.isfinite(y)
+    assert finite.mean() > 0.99
+    assert y[finite].tobytes() == h[finite].tobytes()
+    assert not np.isfinite(h[~finite]).any()
+
+
+def test_hankel1_imag_at_order_minus_half_is_closer_to_closed_form():
+    """Y_{-1/2}(x) = sqrt(2/(pi x)) sin x; Im H^(1) is at least as close to
+    it as yv, by median relative error over x in [1e-3, 60] (measured in
+    30 digits: about 1.6e-16 against 2.0e-16)."""
+    x = np.linspace(1e-3, 60.0, 600)
+    candidates = {
+        "hankel1": special.hankel1(-0.5, x).imag.tolist(),
+        "yv": special.yv(-0.5, x).tolist(),
+    }
+    errors = {name: [] for name in candidates}
+    with mp.workdps(30):
+        for i, t in enumerate(x.tolist()):
+            exact = mp.sqrt(2 / (mp.pi * t)) * mp.sin(t)
+            for name, got in candidates.items():
+                errors[name].append(float(abs(got[i] / exact - 1)))
+    median = {name: float(np.median(e)) for name, e in errors.items()}
+    assert median["hankel1"] <= median["yv"], median
+    # bessel_pair, and so derivatives_up_to, take Y the kernel's way
+    lower, value = special.hankel1([-0.5, 0.5], 2.0).imag
+    assert lower != special.yv(-0.5, 2.0)
+    assert bessel_pair(BesselKind.Y, 0.5, 2.0) == (value, lower - 0.25 * value)

@@ -232,7 +232,7 @@ def test_kernel_rejects_one_dimension_and_nonpositive_lambda():
     "lam", [2.0, np.array([1.0, 2.0, 3.0])], ids=["float", "ndarray"]
 )
 def test_kernel_call_is_one_pass(monkeypatch, lam):
-    """One call: one wave_arguments, one jv and one yv evaluation."""
+    """One call: one wave_arguments, one jv and one hankel1 evaluation."""
     calls = []
 
     def counted(name, fn):
@@ -250,10 +250,12 @@ def test_kernel_call_is_one_pass(monkeypatch, lam):
     monkeypatch.setattr(
         branch,
         "_sp",
-        SimpleNamespace(jv=counted("jv", special.jv), yv=counted("yv", special.yv)),
+        SimpleNamespace(
+            jv=counted("jv", special.jv), hankel1=counted("hankel1", special.hankel1)
+        ),
     )
     got = kernel(lam)
-    assert sorted(calls) == ["jv", "wave_arguments", "yv"]
+    assert sorted(calls) == ["hankel1", "jv", "wave_arguments"]
     for have, want in zip(got, expected):
         assert np.array(have).tobytes() == np.array(want).tobytes()
 
