@@ -145,8 +145,12 @@ class CharacteristicKernel:
     nu-1 values by bessel.derivative, and F and dF/dlambda from the
     cross-products by _f_and_slope.
 
-    Where every term underflows (scale 0, J_nu(a) at large nu) F is NaN,
-    not the 0 they sum to: neither a zero nor a sign for any root test.
+    F is NaN, neither a zero nor a sign for any root test, wherever the
+    scale is not positive and finite: where every term underflows (scale
+    0, J_nu(a) at large nu), and where the product of the factor moduli
+    overflows (scale inf) while the cross-products cancel, as at N = 2,
+    l = 41 and eps = 1/2 with M just above the core's mass; there
+    |F|/scale = 0 would pass any residual gate.
 
     The interval is refused: at nu = l - 1/2 this kernel put the
     eps = 1e-4 slope quotient of N = 1, M = 2, l = 1 2.3e-9 (relative)
@@ -198,10 +202,13 @@ class CharacteristicKernel:
         # four weight-times-modulus products factor into two maxima.
         outer = maximum(abs(w1) * hypot(jc, yc), c * hypot(jpc, ypc))
         inner = maximum(abs(ja) * hypot(jpb, ypb), abs(ratio) * hypot(jb, yb))
-        scale = outer * inner
         if isinstance(lam, np.ndarray):
-            return np.where(scale > 0.0, value, np.nan), slope, scale
-        return (value if scale else math.nan), slope, scale
+            with np.errstate(over="ignore"):  # an overflow is a scale of inf
+                scale = outer * inner
+            finite = (0.0 < scale) & (scale < np.inf)
+            return np.where(finite, value, np.nan), slope, scale
+        scale = outer * inner
+        return (value if 0.0 < scale < math.inf else math.nan), slope, scale
 
 
 class IntervalKernel:
@@ -483,7 +490,7 @@ def find_root(
     accepted only when that is at most DEFAULT_ROOT_TOL. _known, from the
     corrector and scan_roots, is the kernel's (F, dF/dlambda, scale) at
     (lo, hi), so no lambda is evaluated twice in one call; _fn, from the
-    corrector, is its kernel at (cfg, eps), so the kernel is not built twice.
+    same two callers, is their kernel at (cfg, eps), so it is not built twice.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
@@ -671,8 +678,9 @@ def scan_roots(
     """All roots of the characteristic in (lam_min, lam_max) at fixed eps.
 
     Uniform sign scan (one batched kernel call), then find_root on each
-    sign-changing cell, which reuses the sampled values at the cell ends;
-    used to seed the divergent families that have no eps -> 0 anchor.
+    sign-changing cell, which reuses the kernel and its values at the
+    cell ends; used to seed the divergent families that have no eps -> 0
+    anchor.
     """
     fn = _char_fn(cfg, epsilon)
     xs = [lam_min + (lam_max - lam_min) * i / samples for i in range(samples + 1)]
@@ -680,9 +688,9 @@ def scan_roots(
     roots: list[BranchPoint] = []
     for i in range(samples):
         if ends[i][0] == 0.0 or opposite_signs(ends[i][0], ends[i + 1][0]):
-            roots.append(
-                find_root(cfg, epsilon, (xs[i], xs[i + 1]), _known=ends[i : i + 2])
-            )
+            roots.append(find_root(
+                cfg, epsilon, (xs[i], xs[i + 1]), _known=ends[i : i + 2], _fn=fn
+            ))
     return roots
 
 
@@ -720,7 +728,8 @@ class RadialProfile:
     power times alpha J_nu + beta Y_nu at sqrt(lambda rho_annulus) r. The
     matching coefficients fold in the Wronskian 2/(pi b), making S and S'
     continuous at r = 1-eps by construction. Y_nu is evaluated on the
-    annulus only: it overflows near r = 0 at large nu.
+    annulus only: it overflows near r = 0 at large nu. ``at(r)`` gives
+    (S(r), S'(r)) from one Bessel evaluation per kind.
     """
 
     cfg: ProblemConfig
@@ -729,8 +738,8 @@ class RadialProfile:
     alpha: float
     beta: float
 
-    def _at(self, r: float) -> tuple[float, float]:
-        """(S(r), S'(r))."""
+    def at(self, r: float) -> tuple[float, float]:
+        """(S(r), S'(r)) for r in (0, 1]."""
         if not 0.0 < r <= 1.0:
             raise ValueError(f"radius must lie in (0, 1], got {r}")
         nu, p = self.cfg.nu, 1.0 - self.cfg.N / 2.0
@@ -745,12 +754,6 @@ class RadialProfile:
             combo = self.alpha * j + self.beta * y
             combo_p = self.alpha * jp + self.beta * yp
         return r**p * combo, p * r ** (p - 1.0) * combo + r**p * k * combo_p
-
-    def value(self, r: float) -> float:
-        return self._at(r)[0]
-
-    def derivative(self, r: float) -> float:
-        return self._at(r)[1]
 
 
 def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:

@@ -525,10 +525,7 @@ def _cmd_eigenfunction(args: argparse.Namespace) -> int:
 
     pt = _point_at(cfg, args.eps)
     prof = _branch.radial_profile(cfg, pt)
-    rows = []
-    for i in range(1, n + 1):
-        r = i / n
-        rows.append((r, prof.value(r), prof.derivative(r)))
+    rows = [(r, *prof.at(r)) for r in (i / n for i in range(1, n + 1))]
     _emit(_csv("r,S,dS", rows), args.out)
     return 0
 

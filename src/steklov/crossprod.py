@@ -8,13 +8,15 @@ left-hand ordering fixed once and never silently flipped:
     plain:   Y * J^(k)  -  J * Y^(k)
     primed:  Y' * J^(k) -  J' * Y^(k)
 
-``closed_form`` hardcodes the k <= 4 table as polynomials in nu;
-``recursive_form`` builds any order k <= 8 from the differentiated Bessel
-equation, which writes every derivative of a solution as
-C^(k) = P_k C + Q_k C' with P_k, Q_k polynomials in 1/z; pairing with the
-Wronskian leaves P_k or Q_k as the bracketed part. The coefficients are
-exact rationals at the exact order Fraction(nu). ``direct_cross_product``
-is the floating-point route from Bessel derivative values.
+``CrossKind`` holds the package's one derivative-order cap,
+1 <= k <= MAX_CROSS_ORDER = 8. ``closed_form`` hardcodes the k <= 4 table
+as polynomials in nu; ``recursive_form`` builds any order from the
+differentiated Bessel equation, which writes every derivative of a
+solution as C^(k) = P_k C + Q_k C' with P_k, Q_k polynomials in 1/z;
+pairing with the Wronskian leaves P_k or Q_k as the bracketed part. The
+coefficients are exact rationals at the exact order Fraction(nu).
+``direct_cross_product`` is the floating-point route, which indexes the
+derivative lists [C, C', ..., C^(k)] of ``bessel.derivatives_up_to``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "closed_form",
     "recursive_form",
     "evaluate",
-    "derivative",
     "direct_cross_product",
     "MAX_CROSS_ORDER",
 ]
@@ -56,8 +57,10 @@ class CrossKind:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"derivative order must be >= 1, got {self.k}")
+        if not 1 <= self.k <= MAX_CROSS_ORDER:
+            raise ValueError(
+                f"derivative order must lie in [1, {MAX_CROSS_ORDER}], got {self.k}"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,29 +89,12 @@ def evaluate(form: LaurentForm, z: float) -> float:
     return 2.0 / (math.pi * z) * acc
 
 
-def derivative(form: LaurentForm) -> LaurentForm:
-    """d/dz of the bracketed part c0 + sum c_m z^-m (prefactor excluded).
-
-    Always has constant term 0: differentiation kills the constant and
-    pushes every inverse power one step deeper.
-    """
-    return LaurentForm(
-        constant_term=0,
-        inverse_power_coeffs={
-            m + 1: -m * c for m, c in form.inverse_power_coeffs.items() if c
-        },
-    )
-
-
 def direct_cross_product(kind: CrossKind, nu: float, z: float) -> float:
     """The defining combination evaluated straight from Bessel derivatives."""
     j = derivatives_up_to(BesselKind.J, nu, z, kind.k)
     y = derivatives_up_to(BesselKind.Y, nu, z, kind.k)
-    jk = j.derivative_values[kind.k - 1]
-    yk = y.derivative_values[kind.k - 1]
-    if kind.family is Family.PLAIN:
-        return y.value * jk - j.value * yk
-    return y.derivative_values[0] * jk - j.derivative_values[0] * yk
+    m = 0 if kind.family is Family.PLAIN else 1  # the left factor: C or C'
+    return y[m] * j[kind.k] - j[m] * y[kind.k]
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +150,11 @@ def _form(bracket: Mapping[int, Coeff]) -> LaurentForm:
 
 
 def recursive_form(kind: CrossKind, nu: float) -> LaurentForm:
-    """Laurent form from the differentiated Bessel equation, any k <= 8.
+    """Laurent form from the differentiated Bessel equation, any capped k.
 
     Pairing C^(k) = P_k C + Q_k C' with the Wronskian J Y' - Y J' = 2/(pi z)
     gives plain_k = -Q_k * 2/(pi z) and primed_k = P_k * 2/(pi z).
     """
-    if kind.k > MAX_CROSS_ORDER:
-        raise ValueError(f"cross-product order capped at {MAX_CROSS_ORDER}")
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     P, Q = _propagator_forms(Fraction(nu))

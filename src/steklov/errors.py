@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "BracketError",
     "IterationLimitError",
-    "UnsupportedOrderError",
 ]
 
 
@@ -24,8 +23,4 @@ class IterationLimitError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.context = context
-
-
-class UnsupportedOrderError(ValueError):
-    """Requested derivative order above the supported cap."""
 

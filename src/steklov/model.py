@@ -94,16 +94,6 @@ class ProblemConfig:
         return unit_ball_volume(self.N)
 
     @property
-    def sigma(self) -> float:
-        """Measure of the unit sphere, N * omega."""
-        return self.N * self.omega
-
-    @property
-    def rho(self) -> float:
-        """Limiting boundary density M / sigma."""
-        return self.M / self.sigma
-
-    @property
     def nu(self) -> float:
         """Bessel order (N + 2l - 2)/2 from separation of variables.
 
@@ -117,15 +107,12 @@ class ProblemConfig:
 class DensityParams:
     """The piecewise-constant density at one value of eps.
 
-    rho_inner = eps on |x| <= 1-eps, rho_annulus on the shell, and
-    rho_hat = eps * rho_annulus (the combination that stays finite as
-    eps -> 0, with limit M / (N omega)).
+    The density is eps itself on |x| <= 1-eps and rho_annulus on the
+    shell; eps * rho_annulus tends to M / (N omega) as eps -> 0.
     """
 
     epsilon: float
-    rho_inner: float
     rho_annulus: float
-    rho_hat: float
 
 
 def density_params(cfg: ProblemConfig, epsilon: float) -> DensityParams:
@@ -149,12 +136,7 @@ def density_params(cfg: ProblemConfig, epsilon: float) -> DensityParams:
             "be positive"
         )
     rho_ann = (cfg.M - core_mass) / (w * (1.0 - core))
-    return DensityParams(
-        epsilon=epsilon,
-        rho_inner=epsilon,
-        rho_annulus=rho_ann,
-        rho_hat=epsilon * rho_ann,
-    )
+    return DensityParams(epsilon=epsilon, rho_annulus=rho_ann)
 
 
 def wave_arguments(density: DensityParams, lam):

@@ -79,9 +79,9 @@ def _mesh(epsilon: float, grid_size: int) -> list[tuple[float, float, int]]:
 
 
 def _steps(
-    epsilon: float, grid_size: int, rho_inner: float, rho_annulus: float
+    epsilon: float, grid_size: int, rho_annulus: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start r, size h and density rho of every step on the mesh."""
+    """Start r, size h and density rho (eps, then rho_annulus) of every step."""
     interface = 1.0 - epsilon
     r, h, rho = [], [], []
     for seg_start, seg_end, steps in _mesh(epsilon, grid_size):
@@ -94,7 +94,7 @@ def _steps(
         nodes[-1] = seg_end
         r.append(nodes[:-1])
         h.append(np.diff(nodes))
-        rho.append(np.full(steps, rho_inner if seg_end <= interface else rho_annulus))
+        rho.append(np.full(steps, epsilon if seg_end <= interface else rho_annulus))
     return np.concatenate(r), np.concatenate(h), np.concatenate(rho)
 
 
@@ -130,7 +130,7 @@ def shoot(
     params = density_params(cfg, epsilon)
     N, l = cfg.N, cfg.l
     ang = l * (l + N - 2)
-    r, h, rho = _steps(epsilon, grid_size, params.rho_inner, params.rho_annulus)
+    r, h, rho = _steps(epsilon, grid_size, params.rho_annulus)
     lam_rho = lam * rho
     # A = [[0, 1], [q, p]] at the start, middle and end of every step
     at = (r, r + 0.5 * h, r + h)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from steklov.bessel import BesselKind, bessel, bessel_deriv
+from steklov.bessel import BesselKind, bessel_pair
 from steklov.branch import (
     DEFAULT_ROOT_TOL,
     continue_branch,
@@ -123,9 +123,8 @@ def test_criterion_05_wronskian_invariant():
     """J Y' - J' Y = 2/(pi z) to 1e-11 relative over the full grid."""
     for nu in [0.5 * i for i in range(21)]:
         for z in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
-            w = bessel(BesselKind.J, nu, z) * bessel_deriv(
-                BesselKind.Y, nu, z, 1
-            ) - bessel_deriv(BesselKind.J, nu, z, 1) * bessel(BesselKind.Y, nu, z)
+            (j, jp), (y, yp) = (bessel_pair(kind, nu, z) for kind in BesselKind)
+            w = j * yp - jp * y
             expected = 2.0 / (math.pi * z)
             assert abs(w - expected) <= 1e-11 * expected, f"nu={nu} z={z}"
     print("criterion 5: Wronskian within 1e-11 relative on 168 grid points")
@@ -250,15 +249,14 @@ def test_criterion_10_eigenfunction_matching():
                 steps = max(2, math.ceil(eps / 0.1))
                 pt = continue_branch(cfg, eps, steps).points[-1]
                 prof = radial_profile(cfg, pt)
-                s_scale = max(abs(prof.value(r)) for r in r_grid)
+                s_scale = max(abs(prof.at(r)[0]) for r in r_grid)
                 iface = 1.0 - pt.epsilon
-                below, above = math.nextafter(iface, 0.0), math.nextafter(iface, 1.0)
-                assert abs(prof.value(above) - prof.value(below)) <= 1e-9 * s_scale
-                assert (
-                    abs(prof.derivative(above) - prof.derivative(below))
-                    <= 1e-9 * s_scale
+                (s_below, ds_below), (s_above, ds_above) = (
+                    prof.at(math.nextafter(iface, side)) for side in (0.0, 1.0)
                 )
-                assert abs(prof.derivative(1.0)) <= 1e-8 * s_scale
+                assert abs(s_above - s_below) <= 1e-9 * s_scale
+                assert abs(ds_above - ds_below) <= 1e-9 * s_scale
+                assert abs(prof.at(1.0)[1]) <= 1e-8 * s_scale
                 checked += 1
     assert checked == 12
     print("criterion 10: 12 radial profiles continuous with vanishing S'(1)")

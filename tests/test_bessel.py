@@ -12,15 +12,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from series_oracle import bessel_j_series, bessel_y0_series
-from steklov.bessel import (
-    MAX_DERIV_ORDER,
-    BesselKind,
-    bessel,
-    bessel_deriv,
-    bessel_pair,
-    derivatives_up_to,
-)
-from steklov.errors import UnsupportedOrderError
+from steklov.bessel import BesselKind, bessel_pair, derivatives_up_to
+from steklov.crossprod import MAX_CROSS_ORDER, CrossKind, Family
 
 # Frozen reference values, independently reproduced by the ascending-series
 # oracle in series_oracle.py (and, for the half-integer order, by the
@@ -28,6 +21,11 @@ from steklov.errors import UnsupportedOrderError
 J0_AT_1 = 0.7651976865579666
 J1_AT_1 = 0.4400505857449335
 Y0_AT_1 = 0.08825696421567696
+
+
+def bessel(kind: BesselKind, nu: float, z: float) -> float:
+    """C_nu(z), the value of the package's one library call at (nu-1, nu)."""
+    return bessel_pair(kind, nu, z)[0]
 
 
 def test_frozen_values_match_library():
@@ -70,16 +68,15 @@ def test_library_agrees_with_series_oracle_on_grid(nu, z):
 )
 def test_domain_validation(kind, nu, z):
     with pytest.raises(ValueError):
-        bessel(kind, nu, z)
+        derivatives_up_to(kind, nu, z, 0)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 7.5, 10.0])
 @pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
 def test_wronskian_identity(nu, z):
     """J_nu(z) Y_nu'(z) - J_nu'(z) Y_nu(z) = 2 / (pi z)."""
-    w = bessel(BesselKind.J, nu, z) * bessel_deriv(BesselKind.Y, nu, z, 1) - bessel_deriv(
-        BesselKind.J, nu, z, 1
-    ) * bessel(BesselKind.Y, nu, z)
+    (j, jp), (y, yp) = (bessel_pair(kind, nu, z) for kind in BesselKind)
+    w = j * yp - jp * y
     expected = 2.0 / (math.pi * z)
     assert abs(w - expected) <= 1e-11 * expected
 
@@ -94,9 +91,8 @@ def test_wronskian_identity_property(nu, z):
     # sin(pi nu) denominator loses precision within ~1e-3 of an integer;
     # exact integer orders take a dedicated code path and are fine.
     assume(nu == round(nu) or min(nu % 1.0, 1.0 - nu % 1.0) > 1e-3)
-    w = bessel(BesselKind.J, nu, z) * bessel_deriv(BesselKind.Y, nu, z, 1) - bessel_deriv(
-        BesselKind.J, nu, z, 1
-    ) * bessel(BesselKind.Y, nu, z)
+    (j, jp), (y, yp) = (bessel_pair(kind, nu, z) for kind in BesselKind)
+    w = j * yp - jp * y
     expected = 2.0 / (math.pi * z)
     assert abs(w - expected) <= 1e-11 * expected
 
@@ -116,15 +112,10 @@ def test_three_term_recurrence(kind, nu, z):
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 6.0])
 @pytest.mark.parametrize("z", [0.8, 3.1, 11.0])
 def test_ode_residual_small(kind, nu, z):
-    ev = derivatives_up_to(kind, nu, z, 2)
-    residual, scale = ev.ode_residual()
-    assert residual <= 1e-12 * scale
-
-
-def test_ode_residual_requires_two_derivatives():
-    ev = derivatives_up_to(BesselKind.J, 1.0, 2.0, 1)
-    with pytest.raises(ValueError):
-        ev.ode_residual()
+    """z^2 y'' + z y' + (z^2 - nu^2) y against the sum of its term sizes."""
+    y, dy, d2y = derivatives_up_to(kind, nu, z, 2)
+    terms = (z * z * d2y, z * dy, (z * z - nu * nu) * y)
+    assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms))
 
 
 @pytest.mark.parametrize("kind", [BesselKind.J, BesselKind.Y])
@@ -138,12 +129,12 @@ def test_high_derivatives_against_mpmath(kind, nu, z):
     cross-product identities consume) gets the tight gate, 7..8 a looser
     one covering that growth.
     """
-    ev = derivatives_up_to(kind, nu, z, MAX_DERIV_ORDER)
+    ds = derivatives_up_to(kind, nu, z, MAX_CROSS_ORDER)
     fn = mp.besselj if kind is BesselKind.J else mp.bessely
     with mp.workdps(40):
-        for k in range(1, MAX_DERIV_ORDER + 1):
+        for k in range(1, MAX_CROSS_ORDER + 1):
             expected = float(fn(nu, z, derivative=k))
-            got = ev.derivative_values[k - 1]
+            got = ds[k]
             scale = max(abs(expected), 1e-12)
             tol = 1e-10 if k <= 6 else 1e-8
             assert abs(got - expected) <= tol * scale, f"k={k}"
@@ -164,32 +155,32 @@ def test_fourth_derivative_against_richardson():
     coarse = central_fourth(4e-2)
     fine = central_fourth(2e-2)
     richardson = (4.0 * fine - coarse) / 3.0
-    got = bessel_deriv(BesselKind.J, nu, z, 4)
+    got = derivatives_up_to(BesselKind.J, nu, z, 4)[4]
     assert got == pytest.approx(richardson, rel=1e-6)
 
 
 def test_first_derivative_recurrence_form():
-    """bessel_deriv k=1 equals (C_{nu-1} - C_{nu+1})/2 built from values."""
+    """derivatives_up_to k=1 equals (C_{nu-1} - C_{nu+1})/2 built from values."""
     for kind in (BesselKind.J, BesselKind.Y):
         for nu in (1.0, 2.5, 4.0):
             for z in (0.6, 3.0, 9.0):
-                direct = bessel_deriv(kind, nu, z, 1)
+                direct = derivatives_up_to(kind, nu, z, 1)[1]
                 recur = 0.5 * (bessel(kind, nu - 1.0, z) - bessel(kind, nu + 1.0, z))
                 assert direct == pytest.approx(recur, rel=1e-12, abs=1e-15)
 
 
 def test_zeroth_derivative_is_value():
-    assert bessel_deriv(BesselKind.J, 1.0, 2.0, 0) == bessel(BesselKind.J, 1.0, 2.0)
+    value = bessel(BesselKind.J, 1.0, 2.0)
+    assert derivatives_up_to(BesselKind.J, 1.0, 2.0, 0) == [value]
 
 
 @pytest.mark.parametrize("k", [-1, 9, 12])
 def test_unsupported_derivative_order(k):
-    with pytest.raises(UnsupportedOrderError):
-        derivatives_up_to(BesselKind.J, 1.0, 2.0, k)
-    if k > 0:
-        with pytest.raises(UnsupportedOrderError):
-            bessel_deriv(BesselKind.J, 1.0, 2.0, k)
-
+    # the one cap on derivative orders is CrossKind's: verify-crossprod
+    # reaches derivatives_up_to only through a CrossKind
+    for family in Family:
+        with pytest.raises(ValueError, match="derivative order"):
+            CrossKind(family, k)
 
 
 def _kernel_orders() -> list[float]:

@@ -344,6 +344,23 @@ def test_an_underflowed_sample_is_neither_a_zero_nor_a_sign():
     assert branch._bracketed_root_near(CFG_L100, 0.0125, 0.376, 0.1) is None
 
 
+def test_an_overflowed_scale_is_neither_a_zero_nor_a_sign():
+    # with M just above the core's mass at eps = 1/2 the product of the
+    # factor moduli overflows while the cross-products cancel to a finite F,
+    # whose |F|/scale = 0 would pass any residual gate
+    eps = 0.5
+    core_mass = eps * unit_ball_volume(2) * (1.0 - eps) ** 2
+    cfg = ProblemConfig(N=2, M=(1.0 + 1e-9) * core_mass, l=41)
+    kernel = CharacteristicKernel(cfg, eps)
+    for lam in (1.0, 30.0):
+        value, _, scale = kernel(lam)
+        assert math.isnan(value) and scale == math.inf
+    # the kernel, not this test, silences the batch product's overflow warning
+    values, _, scales = kernel(np.array([1.0, 30.0]))
+    assert np.isnan(values).all() and np.isinf(scales).all()
+    assert scan_roots(cfg, eps, 60.0) == []
+
+
 def _reference_find_root(cfg, eps, bracket, known):
     """(root, residual) the former way: Brent, then a walk over neighbouring
     floats to the smallest |F|/scale (up to 64 each way, stopping after three
@@ -380,9 +397,9 @@ def _scan_cells(cfg, eps, lam_max):
     """(bracket, known end values) of every cell scan_roots hands to find_root."""
     cells = []
 
-    def recording(cfg, epsilon, bracket, *, _known):
+    def recording(cfg, epsilon, bracket, *, _known, _fn):
         cells.append((bracket, _known))
-        return find_root(cfg, epsilon, bracket, _known=_known)
+        return find_root(cfg, epsilon, bracket, _known=_known, _fn=_fn)
 
     with mock.patch.object(branch, "find_root", recording):
         scan_roots(cfg, eps, lam_max)
@@ -853,11 +870,12 @@ def test_radial_profile_continuity_and_boundary():
     iface = 1.0 - pt.epsilon
     below = math.nextafter(iface, 0.0)
     above = math.nextafter(iface, 1.0)
-    s_scale = max(abs(prof.value(r)) for r in np.linspace(0.05, 1.0, 40))
-    assert abs(prof.value(above) - prof.value(below)) <= 1e-9 * s_scale
-    assert abs(prof.derivative(above) - prof.derivative(below)) <= 1e-8 * s_scale
+    (s_below, ds_below), (s_above, ds_above) = prof.at(below), prof.at(above)
+    s_scale = max(abs(prof.at(r)[0]) for r in np.linspace(0.05, 1.0, 40))
+    assert abs(s_above - s_below) <= 1e-9 * s_scale
+    assert abs(ds_above - ds_below) <= 1e-8 * s_scale
     # Neumann boundary: S'(1) = 0 up to the root residual
-    assert abs(prof.derivative(1.0)) <= 1e-8 * s_scale
+    assert abs(prof.at(1.0)[1]) <= 1e-8 * s_scale
 
 
 def test_radial_profile_inner_power_law():
@@ -866,7 +884,7 @@ def test_radial_profile_inner_power_law():
         cfg = ProblemConfig(N=2, M=math.pi, l=l)
         table = continue_branch(cfg, 1e-6, 1)
         prof = radial_profile(cfg, table.points[-1])
-        ratio = prof.value(0.8) / prof.value(0.4)
+        ratio = prof.at(0.8)[0] / prof.at(0.4)[0]
         assert ratio == pytest.approx(2.0**l, rel=1e-3)
 
 
@@ -876,7 +894,7 @@ def test_radial_profile_is_finite_near_the_centre_at_high_order():
     prof = radial_profile(cfg, continue_branch(cfg, 0.05, 4).points[-1])
     for i in range(1, 513):
         r = i / 512
-        assert math.isfinite(prof.value(r)) and math.isfinite(prof.derivative(r)), r
+        assert all(map(math.isfinite, prof.at(r))), r
 
 
 def test_radial_profile_rejects_unconverged_point():
@@ -896,9 +914,9 @@ def test_radial_profile_domain():
     table = continue_branch(CFG_DISC, 0.2, 4)
     prof = radial_profile(CFG_DISC, table.points[-1])
     with pytest.raises(ValueError):
-        prof.value(0.0)
+        prof.at(0.0)
     with pytest.raises(ValueError):
-        prof.derivative(1.2)
+        prof.at(1.2)
 
 
 def test_csv_round_trip_revalidates(tmp_path):

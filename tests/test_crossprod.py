@@ -15,7 +15,6 @@ from steklov.crossprod import (
     Family,
     LaurentForm,
     closed_form,
-    derivative,
     direct_cross_product,
     evaluate,
     recursive_form,
@@ -187,35 +186,6 @@ def test_recursive_form_capped_and_validated():
         recursive_form(CrossKind(Family.PLAIN, MAX_CROSS_ORDER + 1), 1.0)
     with pytest.raises(ValueError):
         recursive_form(CrossKind(Family.PLAIN, 2), -1.0)
-
-
-def test_derivative_is_structurally_closed():
-    """d/dz of the bracketed part is again a Laurent tail with c0 = 0."""
-    form = closed_form(CrossKind(Family.PLAIN, 4), 2.0)
-    dform = derivative(form)
-    assert isinstance(dform, LaurentForm)
-    assert dform.constant_term == 0
-    assert all(m >= 1 for m in dform.inverse_power_coeffs)
-
-
-def test_derivative_matches_finite_difference():
-    """The mapped coefficients really differentiate the bracketed sum."""
-    form = closed_form(CrossKind(Family.PRIMED, 4), 1.5)
-    dform = derivative(form)
-
-    def bracket(z: float) -> float:
-        return evaluate(form, z) * math.pi * z / 2.0
-
-    z0, h = 2.3, 1e-5
-    fd = (bracket(z0 + h) - bracket(z0 - h)) / (2.0 * h)
-    got = evaluate(dform, z0) * math.pi * z0 / 2.0
-    assert got == pytest.approx(fd, rel=1e-8)
-
-
-def test_derivative_of_constant_is_zero_form():
-    dform = derivative(LaurentForm(-1))
-    assert dform.constant_term == 0
-    assert dict(dform.inverse_power_coeffs) == {}
 
 
 def test_half_integer_orders_stay_rational():

@@ -41,8 +41,9 @@ def test_unit_ball_volume_rejects_nonpositive_dimension():
 
 def test_sphere_measure_and_boundary_density():
     cfg = ProblemConfig(N=3, M=4.0 * math.pi, l=1)
-    assert cfg.sigma == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert cfg.rho == pytest.approx(1.0, rel=1e-15)
+    sigma = cfg.N * cfg.omega
+    assert sigma == pytest.approx(4.0 * math.pi, rel=1e-15)
+    assert cfg.M / sigma == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -81,9 +82,9 @@ def test_density_params_example():
     cfg = ProblemConfig(N=2, M=math.pi, l=1)
     params = density_params(cfg, 0.5)
     assert isinstance(params, DensityParams)
-    assert params.rho_inner == 0.5
+    assert params.epsilon == 0.5
     assert params.rho_annulus == pytest.approx(7.0 / 6.0, rel=1e-15)
-    assert params.rho_hat == pytest.approx(7.0 / 12.0, rel=1e-15)
+    assert params.epsilon * params.rho_annulus == pytest.approx(7.0 / 12.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.1, 1.5])
@@ -132,7 +133,7 @@ def test_mass_identity(N, M, epsilon):
         return
     params = density_params(cfg, epsilon)
     core = (1.0 - epsilon) ** N
-    mass = params.rho_inner * w * core + params.rho_annulus * w * (1.0 - core)
+    mass = params.epsilon * w * core + params.rho_annulus * w * (1.0 - core)
     tol = 1e-13 + 5e-16 / (1.0 - core)
     assert mass == pytest.approx(M, rel=tol)
 
@@ -141,7 +142,8 @@ def test_rho_hat_limit_matches_boundary_density():
     """eps * rho_annulus -> M / (N omega) as the shell collapses."""
     cfg = ProblemConfig(N=3, M=2.0, l=1)
     params = density_params(cfg, 1e-6)
-    assert params.rho_hat == pytest.approx(cfg.rho, rel=1e-4)
+    rho_hat = params.epsilon * params.rho_annulus
+    assert rho_hat == pytest.approx(cfg.M / (cfg.N * cfg.omega), rel=1e-4)
 
 
 def test_mass_identity_against_quadrature():
@@ -153,13 +155,14 @@ def test_mass_identity_against_quadrature():
     cfg = ProblemConfig(N=3, M=5.0, l=0)
     epsilon = 0.37
     params = density_params(cfg, epsilon)
+    sigma = cfg.N * cfg.omega
     iface = 1.0 - epsilon
     r_core = np.linspace(0.0, iface, 20001)
     r_shell = np.linspace(iface, 1.0, 20001)
     mass = np.trapezoid(
-        params.rho_inner * cfg.sigma * r_core ** (cfg.N - 1), r_core
+        params.epsilon * sigma * r_core ** (cfg.N - 1), r_core
     ) + np.trapezoid(
-        params.rho_annulus * cfg.sigma * r_shell ** (cfg.N - 1), r_shell
+        params.rho_annulus * sigma * r_shell ** (cfg.N - 1), r_shell
     )
     assert mass == pytest.approx(cfg.M, rel=1e-8)
 

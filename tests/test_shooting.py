@@ -34,7 +34,7 @@ def _reference_mismatch(
         return y1, -(N - 1) / r * y1 + (ang / (r * r) - lam * rho) * y0
 
     for seg_start, seg_end, steps in _mesh(epsilon, grid_size):
-        rho = params.rho_inner if seg_end <= interface else params.rho_annulus
+        rho = params.epsilon if seg_end <= interface else params.rho_annulus
         if seg_start == _R0:
             q = (seg_end / seg_start) ** (1.0 / steps)
             nodes = [seg_start * q**i for i in range(steps + 1)]

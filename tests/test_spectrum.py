@@ -89,7 +89,8 @@ def test_eigenvalue_fields_consistent():
     assert eig.l == 2
     assert eig.multiplicity == multiplicity(3, 2)
     assert eig.slope == pytest.approx(slope_at_zero(cfg), rel=1e-15)
-    assert eig.value == pytest.approx(cfg.l / cfg.rho, rel=1e-14)
+    rho = cfg.M / (cfg.N * cfg.omega)  # the limiting boundary density
+    assert eig.value == pytest.approx(cfg.l / rho, rel=1e-14)
 
 
 def test_one_dimensional_spectrum_has_two_modes():

@@ -207,6 +207,32 @@ def test_no_library_derivative_wrappers():
     assert not found, found
 
 
+# the independent route to the slope, which the criterion tests compare
+# with the slope that the commands compute
+_TEST_ONLY_EXPORTS = {"branch.truncated_characteristic", "branch.slope_from_truncated"}
+
+
+def test_every_export_is_used_in_src():
+    # an exported name that no code in src/ refers to serves only tests; it
+    # belongs in tests/ or nowhere. A reference is a loaded name or an
+    # attribute, so a definition, an import or an __all__ entry is none.
+    src = Path(steklov.__file__).resolve().parent
+    used = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{name}.{export}"
+        for name in _MODULES
+        for export in importlib.import_module(f"steklov.{name}").__all__
+        if export not in used and f"{name}.{export}" not in _TEST_ONLY_EXPORTS
+    ]
+    assert not unused, unused
+
+
 @pytest.fixture
 def tracer_module(monkeypatch):
     monkeypatch.syspath_prepend(str(_PERFBENCH))
