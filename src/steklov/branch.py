@@ -35,13 +35,12 @@ from .model import ProblemConfig, density_params, wave_arguments
 from .roots import (
     _MAX_STEPS, add_failure_context, newton_step, opposite_signs, shrink_bracket
 )
-from .spectrum import SteklovEigenvalue, steklov_eigenvalue
+from .spectrum import steklov_eigenvalue
 
 __all__ = [
     "DEFAULT_ROOT_TOL",
     "SCAN_LAM_MIN",
     "BranchPoint",
-    "BranchTable",
     "RadialProfile",
     "CharacteristicKernel",
     "IntervalKernel",
@@ -50,12 +49,12 @@ __all__ = [
     "remainder_scaling",
     "find_root",
     "continue_branch",
+    "anchored_point",
     "trace_family",
     "scan_roots",
     "slope_estimate",
     "radial_profile",
     "write_points_csv",
-    "sidecar_metadata",
 ]
 
 # acceptance bound on |F|/scale at a root (find_root, radial_profile)
@@ -75,25 +74,14 @@ SCAN_LAM_MIN = 1e-3
 class BranchPoint:
     """One converged root (eps, lambda) of the characteristic equation.
 
-    residual is |F| divided by the magnitude of F's largest constituent
-    term, i.e. directly comparable against DEFAULT_ROOT_TOL. The analytic
-    l = 0 principal branch carries lambda = 0 with residual 0.
+    residual is |F| over the magnitude of F's largest constituent term,
+    directly comparable against DEFAULT_ROOT_TOL; the analytic l = 0
+    principal branch has lambda = 0, residual 0. (N, M, l) are the caller's.
     """
 
     epsilon: float
     lam: float
     residual: float
-    l: int
-    N: int
-    M: float
-
-
-@dataclass(frozen=True)
-class BranchTable:
-    cfg: ProblemConfig
-    points: tuple[BranchPoint, ...]
-    anchor: SteklovEigenvalue
-    truncated: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +502,7 @@ def find_root(
     except (BracketError, IterationLimitError) as exc:
         add_failure_context(exc, cfg, epsilon, bracket)
         raise
-    return BranchPoint(
-        epsilon=epsilon, lam=root, residual=residual, l=cfg.l, N=cfg.N, M=cfg.M
-    )
+    return BranchPoint(epsilon=epsilon, lam=root, residual=residual)
 
 
 def _bracketed_root_near(
@@ -632,39 +618,35 @@ def trace_family(
 
 def continue_branch(
     cfg: ProblemConfig,
-    eps_max: float,
-    steps: int,
+    grid: Sequence[float],
     *,
     lam_max: float | None = None,
-) -> BranchTable:
-    """Trace the anchored branch over the uniform grid (eps0, eps_max].
+) -> tuple[list[BranchPoint], bool]:
+    """The anchored branch lambda_l(eps) at the increasing eps values of grid.
 
-    eps0 = eps_max/steps. The l = 0 principal branch is identically zero
-    and is emitted analytically; everything else starts at the Steklov
-    anchor with the closed slope as first predictor.
+    trace_family from the Steklov anchor (0, lambda_l), with the closed
+    slope lambda_l'(0) as first predictor, returning its (points, truncated);
+    the l = 0 principal branch is identically zero, emitted analytically.
     """
-    if not 0.0 < eps_max < 1.0:
-        raise ValueError(f"eps_max must lie in (0, 1), got {eps_max}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    anchor = steklov_eigenvalue(cfg)
-    grid = [eps_max * i / steps for i in range(1, steps + 1)]
     if cfg.l == 0:
-        pts = tuple(
-            BranchPoint(epsilon=e, lam=0.0, residual=0.0, l=0, N=cfg.N, M=cfg.M)
-            for e in grid
-        )
-        return BranchTable(cfg=cfg, points=pts, anchor=anchor, truncated=False)
-    points, truncated = trace_family(
-        cfg,
-        start=(0.0, anchor.value),
-        eps_values=grid,
-        slope0=anchor.slope,
-        lam_max=lam_max,
-    )
-    return BranchTable(
-        cfg=cfg, points=tuple(points), anchor=anchor, truncated=truncated
-    )
+        return [BranchPoint(epsilon=e, lam=0.0, residual=0.0) for e in grid], False
+    anchor = steklov_eigenvalue(cfg)
+    start = (0.0, anchor.value)
+    return trace_family(cfg, start, grid, slope0=anchor.slope, lam_max=lam_max)
+
+
+def anchored_point(cfg: ProblemConfig, eps: float, steps: int) -> BranchPoint:
+    """The anchored branch at eps, traced over the uniform grid eps i/steps.
+
+    Raises BracketError("branch lost before eps=...") with N, M, l and eps
+    in its context when the trace is lost or leaves its window on the way.
+    """
+    grid = [eps * i / steps for i in range(1, steps + 1)]
+    points, truncated = continue_branch(cfg, grid)
+    if truncated or not points:
+        where = dict(N=cfg.N, M=cfg.M, l=cfg.l, eps=eps)
+        raise BracketError(f"branch lost before eps={eps}", **where)
+    return points[-1]
 
 
 def scan_roots(
@@ -699,21 +681,15 @@ def slope_estimate(
 ) -> list[tuple[float, float]]:
     """Difference quotients (lambda(eps) - lambda_l)/eps toward the slope.
 
-    Each eps gets its own one-step continue_branch from the anchor, so the
-    quotient always refers to the anchored branch (zero on the l = 0
-    principal branch).
+    Each eps gets its own one-step anchored_point, so the quotient always
+    refers to the anchored branch (zero on the l = 0 principal branch), and
+    a lost branch raises anchored_point's BracketError.
     """
     for e in eps_list:
         if not 0.0 < e <= 0.05:
             raise ValueError(f"quotients are meaningful for eps in (0, 0.05], got {e}")
-    out: list[tuple[float, float]] = []
-    for e in eps_list:
-        table = continue_branch(cfg, e, 1)
-        if table.truncated or not table.points:
-            where = dict(N=cfg.N, M=cfg.M, l=cfg.l, eps=e)
-            raise BracketError(f"branch lost on the way to eps={e}", **where)
-        out.append((float(e), (table.points[0].lam - table.anchor.value) / e))
-    return out
+    anchor = steklov_eigenvalue(cfg).value
+    return [(float(e), (anchored_point(cfg, e, 1).lam - anchor) / e) for e in eps_list]
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +704,10 @@ class RadialProfile:
     power times alpha J_nu + beta Y_nu at sqrt(lambda rho_annulus) r. The
     matching coefficients fold in the Wronskian 2/(pi b), making S and S'
     continuous at r = 1-eps by construction. Y_nu is evaluated on the
-    annulus only: it overflows near r = 0 at large nu. ``at(r)`` gives
-    (S(r), S'(r)) from one Bessel evaluation per kind.
+    annulus only: it overflows near r = 0 at large nu. The shell wave
+    number k_annulus = sqrt(lambda rho_annulus) is computed once, when
+    radial_profile builds the profile. ``at(r)`` gives (S(r), S'(r)) from
+    one Bessel evaluation per kind.
     """
 
     cfg: ProblemConfig
@@ -737,6 +715,7 @@ class RadialProfile:
     lam: float
     alpha: float
     beta: float
+    k_annulus: float
 
     def at(self, r: float) -> tuple[float, float]:
         """(S(r), S'(r)) for r in (0, 1]."""
@@ -747,8 +726,7 @@ class RadialProfile:
             k = math.sqrt(self.lam * self.epsilon)
             combo, combo_p = bessel_pair(BesselKind.J, nu, k * r)
         else:
-            rho_ann = density_params(self.cfg, self.epsilon).rho_annulus
-            k = math.sqrt(self.lam * rho_ann)
+            k = self.k_annulus
             j, jp = bessel_pair(BesselKind.J, nu, k * r)
             y, yp = bessel_pair(BesselKind.Y, nu, k * r)
             combo = self.alpha * j + self.beta * y
@@ -765,7 +743,8 @@ def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
         )
     if cfg.N == 1:
         raise ValueError("the Bessel kernel does not serve the interval (N = 1)")
-    a, b = wave_arguments(density_params(cfg, point.epsilon), point.lam)
+    density = density_params(cfg, point.epsilon)
+    a, b = wave_arguments(density, point.lam)
     ja, jpa = bessel_pair(BesselKind.J, cfg.nu, a)
     jb, jpb = bessel_pair(BesselKind.J, cfg.nu, b)
     yb, ypb = bessel_pair(BesselKind.Y, cfg.nu, b)
@@ -777,6 +756,7 @@ def radial_profile(cfg: ProblemConfig, point: BranchPoint) -> RadialProfile:
         lam=point.lam,
         alpha=pref * (ja * ypb - ratio * yb),
         beta=pref * (ratio * jb - jpb * ja),
+        k_annulus=math.sqrt(point.lam * density.rho_annulus),
     )
 
 
@@ -797,14 +777,3 @@ def write_points_csv(
     lines = ["epsilon,lambda,residual"]
     lines += [f"{p.epsilon!r},{p.lam!r},{p.residual!r}" for p in points]
     write_fresh(path, "\n".join(lines) + "\n")
-
-
-def sidecar_metadata(table: BranchTable) -> dict:
-    return {
-        "N": table.cfg.N,
-        "M": table.cfg.M,
-        "l": table.cfg.l,
-        "anchor_lambda": table.anchor.value,
-        "slope_at_zero": table.anchor.slope,
-        "truncated": table.truncated,
-    }

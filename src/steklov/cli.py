@@ -206,25 +206,32 @@ def _cmd_branch(args: argparse.Namespace) -> int:
                 f"--out {args.out} is also the path of its JSON sidecar; "
                 "give the CSV another extension"
             )
+    if not 0.0 < args.eps_max < 1.0:
+        raise UsageError(f"eps_max must lie in (0, 1), got {args.eps_max}")
+    n = args.steps
+    if n < 1:
+        raise UsageError(f"steps must be >= 1, got {n}")
     from . import branch as _branch
 
-    table = _branch.continue_branch(cfg, args.eps_max, args.steps, lam_max=args.lam_max)
+    grid = [args.eps_max * i / n for i in range(1, n + 1)]
+    points, truncated = _branch.continue_branch(cfg, grid, lam_max=args.lam_max)
     if args.out is None:
-        rows = [(p.epsilon, p.lam, p.residual) for p in table.points]
+        rows = [(p.epsilon, p.lam, p.residual) for p in points]
         _emit(_csv("epsilon,lambda,residual", rows), None)
     else:
-        _branch.write_points_csv(table.points, args.out)
+        _branch.write_points_csv(points, args.out)
+        anchor = steklov_eigenvalue(cfg)
+        meta = {"N": cfg.N, "M": cfg.M, "l": cfg.l, "anchor_lambda": anchor.value,
+                "slope_at_zero": anchor.slope, "truncated": truncated}
         try:
-            write_fresh(sidecar, _json(_branch.sidecar_metadata(table)))
+            write_fresh(sidecar, _json(meta))
         except OSError:
             # leave no CSV without its sidecar; never remove a device or link
             if stat.S_ISREG(os.lstat(args.out).st_mode):
                 os.unlink(args.out)
             raise
-    if table.truncated:
-        raise VerificationFailure(
-            f"branch truncated after {len(table.points)} of {args.steps} points"
-        )
+    if truncated:
+        raise VerificationFailure(f"branch truncated after {len(points)} of {n} points")
     return 0
 
 
@@ -257,13 +264,7 @@ def _trace_figure_l(
     anchored_end: float | None = None
     if cfg.l >= 1:
         anchor = steklov_eigenvalue(cfg)
-        points, truncated = _branch.trace_family(
-            cfg,
-            start=(0.0, anchor.value),
-            eps_values=grid,
-            slope0=anchor.slope,
-            lam_max=lam_max,
-        )
+        points, truncated = _branch.continue_branch(cfg, grid, lam_max=lam_max)
         if points:
             families.append(
                 {
@@ -397,12 +398,7 @@ def _point_at(cfg: ProblemConfig, eps: float) -> BranchPoint:
         raise UsageError(f"--eps must lie in (0, 1), got {eps}")
     from . import branch as _branch
 
-    steps = max(4, int(math.ceil(eps / 0.05)))
-    table = _branch.continue_branch(cfg, eps, steps)
-    if table.truncated or not table.points:
-        lost = f"branch lost before eps={eps}"
-        raise BracketError(lost, N=cfg.N, M=cfg.M, l=cfg.l, eps=eps)
-    return table.points[-1]
+    return _branch.anchored_point(cfg, eps, max(4, int(math.ceil(eps / 0.05))))
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:

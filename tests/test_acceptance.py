@@ -41,6 +41,11 @@ from steklov.spectrum import multiplicity, slope_at_zero, steklov_eigenvalue
 EPS_SMALL = (1e-2, 1e-3, 1e-4)
 
 
+def _uniform(eps_max: float, steps: int) -> list[float]:
+    """The uniform eps grid eps_max i/steps, i = 1..steps."""
+    return [eps_max * i / steps for i in range(1, steps + 1)]
+
+
 def test_criterion_01_exact_spectrum():
     """lambda_l and multiplicities of the disc and the ball, to 1e-14."""
     for l in range(11):
@@ -84,11 +89,12 @@ def test_criterion_03_local_monotonicity():
     for N, M in ((2, math.pi), (3, 4.0 * math.pi)):
         for l in (1, 2, 3, 4):
             cfg = ProblemConfig(N=N, M=M, l=l)
-            table = continue_branch(cfg, 0.02, 8)
-            assert not table.truncated
-            lams = [table.anchor.value] + [p.lam for p in table.points]
+            points, truncated = continue_branch(cfg, _uniform(0.02, 8))
+            anchor = steklov_eigenvalue(cfg)
+            assert not truncated
+            lams = [anchor.value] + [p.lam for p in points]
             assert all(b > a for a, b in zip(lams, lams[1:])), f"N={N} l={l}"
-            assert all(lam > table.anchor.value for lam in lams[1:]), f"N={N} l={l}"
+            assert all(lam > anchor.value for lam in lams[1:]), f"N={N} l={l}"
     print("criterion 3: monotone increase verified for l=1..4, N=2,3")
 
 
@@ -138,7 +144,7 @@ def test_criterion_06_oracle_equivalence():
             cfg = ProblemConfig(N=N, M=M, l=l)
             for eps in (0.01, 0.05, 0.1, 0.3):
                 steps = max(4, math.ceil(eps / 0.05))
-                reference = continue_branch(cfg, eps, steps).points[-1].lam
+                reference = continue_branch(cfg, _uniform(eps, steps))[0][-1].lam
                 width = max(0.05 * reference, 0.02)
                 shot = eigenvalue_by_shooting(
                     cfg, eps, (reference - width, reference + width)
@@ -247,7 +253,7 @@ def test_criterion_10_eigenfunction_matching():
             cfg = ProblemConfig(N=N, M=M, l=l)
             for eps in (0.05, 0.2, 0.4):
                 steps = max(2, math.ceil(eps / 0.1))
-                pt = continue_branch(cfg, eps, steps).points[-1]
+                pt = continue_branch(cfg, _uniform(eps, steps))[0][-1]
                 prof = radial_profile(cfg, pt)
                 s_scale = max(abs(prof.at(r)[0]) for r in r_grid)
                 iface = 1.0 - pt.epsilon

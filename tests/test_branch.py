@@ -26,7 +26,6 @@ from steklov.branch import (
     radial_profile,
     remainder_scaling,
     scan_roots,
-    sidecar_metadata,
     slope_estimate,
     slope_from_truncated,
     trace_family,
@@ -51,6 +50,11 @@ CFG_BALL = ProblemConfig(N=3, M=4.0 * math.pi, l=1)
 ROOT_DISC_001 = 2.0233581771556928
 ROOT_DISC_010 = 2.234651915659871
 ROOT_BALL_005 = 1.039772509360611
+
+
+def _uniform(eps_max: float, steps: int) -> list[float]:
+    """The uniform eps grid eps_max i/steps, i = 1..steps."""
+    return [eps_max * i / steps for i in range(1, steps + 1)]
 
 
 def test_frozen_root_disc_small_eps():
@@ -566,16 +570,16 @@ def test_propagator_series_has_a_term_cap(monkeypatch):
 
 
 def test_continue_branch_reaches_target_eps():
-    table = continue_branch(CFG_DISC, 0.1, 10)
-    assert len(table.points) == 10
-    assert not table.truncated
-    assert table.points[-1].epsilon == pytest.approx(0.1, rel=1e-15)
-    assert table.points[-1].lam == pytest.approx(ROOT_DISC_010, rel=1e-10)
-    eps_seq = [p.epsilon for p in table.points]
+    points, truncated = continue_branch(CFG_DISC, _uniform(0.1, 10))
+    assert len(points) == 10
+    assert not truncated
+    assert points[-1].epsilon == pytest.approx(0.1, rel=1e-15)
+    assert points[-1].lam == pytest.approx(ROOT_DISC_010, rel=1e-10)
+    eps_seq = [p.epsilon for p in points]
     assert eps_seq == sorted(eps_seq)
-    for p in table.points:
+    for p in points:
         assert p.residual <= DEFAULT_ROOT_TOL
-        assert p.lam > table.anchor.value
+        assert p.lam > steklov_eigenvalue(CFG_DISC).value
 
 
 def test_continue_branch_monotone_near_zero():
@@ -583,23 +587,17 @@ def test_continue_branch_monotone_near_zero():
     for N, M in ((2, math.pi), (3, 4.0 * math.pi)):
         for l in (1, 2):
             cfg = ProblemConfig(N=N, M=M, l=l)
-            table = continue_branch(cfg, 0.02, 8)
-            lams = [table.anchor.value] + [p.lam for p in table.points]
+            points, _ = continue_branch(cfg, _uniform(0.02, 8))
+            lams = [steklov_eigenvalue(cfg).value] + [p.lam for p in points]
             assert all(b > a for a, b in zip(lams, lams[1:]))
 
 
 def test_continue_branch_principal_mode_is_zero():
-    table = continue_branch(ProblemConfig(N=3, M=4.0 * math.pi, l=0), 0.5, 5)
-    assert [p.lam for p in table.points] == [0.0] * 5
-    assert [p.residual for p in table.points] == [0.0] * 5
-    assert table.anchor.value == 0.0
-
-
-def test_continue_branch_validates_arguments():
-    with pytest.raises(ValueError):
-        continue_branch(CFG_DISC, 1.0, 10)
-    with pytest.raises(ValueError):
-        continue_branch(CFG_DISC, 0.5, 0)
+    cfg = ProblemConfig(N=3, M=4.0 * math.pi, l=0)
+    points, _ = continue_branch(cfg, _uniform(0.5, 5))
+    assert [p.lam for p in points] == [0.0] * 5
+    assert [p.residual for p in points] == [0.0] * 5
+    assert steklov_eigenvalue(cfg).value == 0.0
 
 
 def test_branch_emanates_from_anchor():
@@ -607,7 +605,7 @@ def test_branch_emanates_from_anchor():
     cfg = ProblemConfig(N=2, M=math.pi, l=2)
 
     def lam_at(e: float) -> float:
-        return continue_branch(cfg, e, 2).points[-1].lam
+        return continue_branch(cfg, _uniform(e, 2))[0][-1].lam
 
     extrapolated = 2.0 * lam_at(1e-7) - lam_at(2e-7)
     assert extrapolated == pytest.approx(steklov_eigenvalue(cfg).value, abs=5e-8)
@@ -635,8 +633,8 @@ def test_one_dimensional_slope_consistency():
 
 def test_one_dimensional_branch_values():
     cfg = ProblemConfig(N=1, M=2.0, l=1)
-    table = continue_branch(cfg, 0.01, 2)
-    pt = table.points[-1]
+    points, _ = continue_branch(cfg, _uniform(0.01, 2))
+    pt = points[-1]
     assert pt.lam == pytest.approx(1.013417888937936, rel=1e-10)
     assert pt.residual <= DEFAULT_ROOT_TOL
     assert abs(characteristic_1d(2.0, pt.epsilon, pt.lam)[0]) < 1e-12
@@ -857,15 +855,16 @@ def test_corrector_points_per_root(monkeypatch):
         return original(density, lam)
 
     monkeypatch.setattr(branch, "wave_arguments", counting)
-    table = continue_branch(ProblemConfig(N=2, M=math.pi, l=3), 0.9, 100)
-    assert len(table.points) == 100 and not table.truncated
-    assert sum(sizes) <= 7 * len(table.points)
+    cfg = ProblemConfig(N=2, M=math.pi, l=3)
+    points, truncated = continue_branch(cfg, _uniform(0.9, 100))
+    assert len(points) == 100 and not truncated
+    assert sum(sizes) <= 7 * len(points)
 
 
 def test_radial_profile_continuity_and_boundary():
     cfg = CFG_DISC
-    table = continue_branch(cfg, 0.2, 4)
-    pt = table.points[-1]
+    points, _ = continue_branch(cfg, _uniform(0.2, 4))
+    pt = points[-1]
     prof = radial_profile(cfg, pt)
     iface = 1.0 - pt.epsilon
     below = math.nextafter(iface, 0.0)
@@ -882,8 +881,8 @@ def test_radial_profile_inner_power_law():
     """As eps -> 0 the interior factor approaches r^l (so S(2r)/S(r) -> 2^l)."""
     for l in (1, 2, 3):
         cfg = ProblemConfig(N=2, M=math.pi, l=l)
-        table = continue_branch(cfg, 1e-6, 1)
-        prof = radial_profile(cfg, table.points[-1])
+        points, _ = continue_branch(cfg, _uniform(1e-6, 1))
+        prof = radial_profile(cfg, points[-1])
         ratio = prof.at(0.8)[0] / prof.at(0.4)[0]
         assert ratio == pytest.approx(2.0**l, rel=1e-3)
 
@@ -891,28 +890,28 @@ def test_radial_profile_inner_power_law():
 def test_radial_profile_is_finite_near_the_centre_at_high_order():
     """Y_99 overflows near r = 0; the inner region must never form it."""
     cfg = ProblemConfig(N=2, M=math.pi, l=100)
-    prof = radial_profile(cfg, continue_branch(cfg, 0.05, 4).points[-1])
+    prof = radial_profile(cfg, continue_branch(cfg, _uniform(0.05, 4))[0][-1])
     for i in range(1, 513):
         r = i / 512
         assert all(map(math.isfinite, prof.at(r))), r
 
 
 def test_radial_profile_rejects_unconverged_point():
-    bad = BranchPoint(epsilon=0.2, lam=2.5, residual=1.0, l=1, N=2, M=math.pi)
+    bad = BranchPoint(epsilon=0.2, lam=2.5, residual=1.0)
     with pytest.raises(ValueError, match="not converged"):
         radial_profile(CFG_DISC, bad)
 
 
 def test_radial_profile_rejects_one_dimension():
     bad_cfg = ProblemConfig(N=1, M=2.0, l=1)
-    pt = BranchPoint(epsilon=0.2, lam=1.0, residual=0.0, l=1, N=1, M=2.0)
+    pt = BranchPoint(epsilon=0.2, lam=1.0, residual=0.0)
     with pytest.raises(ValueError, match="interval"):
         radial_profile(bad_cfg, pt)
 
 
 def test_radial_profile_domain():
-    table = continue_branch(CFG_DISC, 0.2, 4)
-    prof = radial_profile(CFG_DISC, table.points[-1])
+    points, _ = continue_branch(CFG_DISC, _uniform(0.2, 4))
+    prof = radial_profile(CFG_DISC, points[-1])
     with pytest.raises(ValueError):
         prof.at(0.0)
     with pytest.raises(ValueError):
@@ -921,13 +920,13 @@ def test_radial_profile_domain():
 
 def test_csv_round_trip_revalidates(tmp_path):
     """Every written row parses back and satisfies the residual gate."""
-    table = continue_branch(CFG_DISC, 0.1, 5)
+    points, _ = continue_branch(CFG_DISC, _uniform(0.1, 5))
     path = tmp_path / "family.csv"
-    write_points_csv(table.points, path)
+    write_points_csv(points, path)
     with open(path, newline="", encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(table.points)
-    for row, pt in zip(rows, table.points):
+    assert len(rows) == len(points)
+    for row, pt in zip(rows, points):
         eps = float(row["epsilon"])
         lam = float(row["lambda"])
         res = float(row["residual"])
@@ -941,15 +940,3 @@ def test_write_points_csv_header(tmp_path):
     write_points_csv([], path)
     assert path.read_text(encoding="ascii") == "epsilon,lambda,residual\n"
 
-
-def test_sidecar_metadata_fields():
-    table = continue_branch(CFG_DISC, 0.05, 2)
-    meta = sidecar_metadata(table)
-    assert meta == {
-        "N": 2,
-        "M": math.pi,
-        "l": 1,
-        "anchor_lambda": 2.0,
-        "slope_at_zero": pytest.approx(7.0 / 3.0, rel=1e-14),
-        "truncated": False,
-    }

@@ -160,6 +160,46 @@ def test_unreachable_tolerance_is_numerical_failure(tmp_path, monkeypatch, capsy
     assert not out.with_suffix(".json").exists()
 
 
+def test_branch_refuses_its_grid_before_tracing(monkeypatch, capsys):
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("traced a refused grid")
+
+    monkeypatch.setattr("steklov.branch.continue_branch", no_tracing)
+    for flags, message in (
+        (["--eps-max", "1.0", "--steps", "10"], "eps_max must lie in (0, 1), got 1.0"),
+        (["--eps-max", "0.5", "--steps", "0"], "steps must be >= 1, got 0"),
+    ):
+        assert cli.main(["branch", "--N", "2", "--M", "pi", "--l", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert payload["code"] == 2
+        assert payload["message"] == message
+
+
+@pytest.mark.parametrize(
+    "command, eps",
+    [("slope", "0.01"), ("oracle-compare", "0.1"), ("eigenfunction", "0.2")],
+)
+def test_lost_anchored_branch_is_numerical_failure(
+    tmp_path, monkeypatch, capsys, command, eps
+):
+    monkeypatch.setattr("steklov.branch.trace_family", lambda *a, **k: ([], True))
+    out = tmp_path / "out.txt"
+    argv = [command, "--N", "2", "--M", "pi", "--l", "1", "--eps", eps, "--out", str(out)]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    assert payload["code"] == 3
+    assert payload["message"] == f"branch lost before eps={eps}"
+    assert payload["context"] == {
+        "command": command, "argv": argv, "N": 2, "M": math.pi, "l": 1, "eps": float(eps)
+    }
+    assert not out.exists()
+
+
 def test_unsettled_remainder_series_names_its_point(monkeypatch, capsys):
     monkeypatch.setattr("steklov.branch._MAX_SERIES_TERMS", 5)
     argv = ["verify-remainder", "--N", "2", "--M", "pi", "--l", "1"]
@@ -213,6 +253,7 @@ def test_branch_writes_csv_and_sidecar(tmp_path):
         assert float(r["residual"]) <= 1e-11
     sidecar = json.loads(out.with_suffix(".json").read_text(encoding="ascii"))
     assert sidecar["N"] == 2
+    assert sidecar["M"] == math.pi
     assert sidecar["l"] == 1
     assert sidecar["anchor_lambda"] == pytest.approx(2.0, rel=1e-14)
     assert sidecar["slope_at_zero"] == pytest.approx(7.0 / 3.0, rel=1e-14)

@@ -121,7 +121,8 @@ def test_shooting_agrees_with_characteristic(N, M, l, eps):
     """Two unrelated discretizations of the same eigenvalue coincide."""
     cfg = ProblemConfig(N=N, M=M, l=l)
     steps = max(4, math.ceil(eps / 0.05))
-    reference = continue_branch(cfg, eps, steps).points[-1].lam
+    grid = [eps * i / steps for i in range(1, steps + 1)]
+    reference = continue_branch(cfg, grid)[0][-1].lam
     width = max(0.05 * reference, 0.02)
     result = eigenvalue_by_shooting(
         cfg, eps, (reference - width, reference + width), grid_size=4000, tol=1e-12

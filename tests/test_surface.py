@@ -128,10 +128,15 @@ def test_float_wave_arguments_leave_numpy_unloaded():
     assert _python(code).strip() == "False"
 
 
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call is made by: f(...) or owner.f(...) give f."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _can_write(call: ast.Call) -> bool:
     """An open() whose mode is not a read-only literal, or a pathlib write."""
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    name = _called_name(call)
     if name in ("write_text", "write_bytes"):
         return True
     if name != "open":
@@ -145,8 +150,8 @@ def _can_write(call: ast.Call) -> bool:
     return bool(set(mode.value) & set("wax+"))
 
 
-def _file_writers(path: Path) -> list[str]:
-    """Qualified name of the scope of every call in path that can write a file."""
+def _call_scopes(matches) -> list[str]:
+    """Qualified name of the scope of every call in src/ that matches."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -154,20 +159,31 @@ def _file_writers(path: Path) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call) and _can_write(child):
+            elif isinstance(child, ast.Call) and matches(child):
                 found.append(scope)
             visit(child, inner)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    src = Path(steklov.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return found
 
 
 def test_one_file_writer():
     # every output goes through cli.write_fresh, which replaces a regular
     # file with a new one; a second writer would truncate in place again
-    src = Path(steklov.__file__).resolve().parent
-    writers = [w for path in sorted(src.glob("*.py")) for w in _file_writers(path)]
-    assert writers == ["cli.write_fresh"]
+    assert _call_scopes(_can_write) == ["cli.write_fresh"]
+
+
+def test_one_anchored_route():
+    # the anchored branch leaves the Steklov value with the closed slope in
+    # one place; a second trace_family(slope0=...) call is a second route
+    def seeds_a_slope(call: ast.Call) -> bool:
+        return _called_name(call) == "trace_family" and any(
+            k.arg == "slope0" for k in call.keywords
+        )
+
+    assert _call_scopes(seeds_a_slope) == ["branch.continue_branch"]
 
 
 def _is_product(node: ast.AST) -> bool:
