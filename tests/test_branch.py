@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from interval_oracle import characteristic_1d
 from scipy import optimize, special
 
-from steklov import branch
+from steklov import branch, cli
 from steklov.branch import (
     DEFAULT_ROOT_TOL,
     BranchPoint,
@@ -939,4 +940,21 @@ def test_write_points_csv_header(tmp_path):
     path = tmp_path / "pts.csv"
     write_points_csv([], path)
     assert path.read_text(encoding="ascii") == "epsilon,lambda,residual\n"
+
+
+def test_sidecar_metadata_fields(tmp_path):
+    # the branch command writes the sidecar beside its CSV
+    out = tmp_path / "branch.csv"
+    argv = ["branch", "--N", "2", "--M", "pi", "--l", "1", "--eps-max", "0.05",
+            "--steps", "2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    meta = json.loads(out.with_suffix(".json").read_text(encoding="ascii"))
+    assert meta == {
+        "N": 2,
+        "M": math.pi,
+        "l": 1,
+        "anchor_lambda": 2.0,
+        "slope_at_zero": pytest.approx(7.0 / 3.0, rel=1e-14),
+        "truncated": False,
+    }
 
